@@ -24,7 +24,13 @@ Asserted invariants (deterministic under the pinned seeds):
   ``execute_unit`` path — returns **bitwise-identical** exact distributions
   and sampled counts for the same seed, for each kernel and *between*
   kernels;
-* the prepared-operator LRU served repeat gate applications (hits observed).
+* the prepared-operator LRU served repeat gate applications (hits observed);
+* **live-width execution**: the 9 measured NME term circuits of a GHZ-4
+  2-cut job (8 qubits declared, at most 5 live) through
+  :class:`~repro.circuits.backends.VectorizedBackend` agree with the
+  full-width :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`
+  to 1e-12 (whether they are bitwise equal is recorded) and run **≥ 5×**
+  faster.
 
 ``BENCH_kernels.json`` is written through the shared ``bench_artifact``
 writer (``REPRO_BENCH_OUT`` overrides the directory).  The default smoke
@@ -50,11 +56,19 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.kernels import KERNEL_NAMES, clear_prepared_cache, prepared_cache_info
 from repro.circuits.statevector_simulator import StatevectorSimulator
+from repro.cutting import measured_multi_cut_circuit
 from repro.distributed import WorkUnit, execute_unit
+from repro.experiments import ghz_circuit
+from repro.pipeline import CutPipeline
+from repro.quantum.paulis import PauliString
 
 #: Speedup floors (paired medians, dense over einsum).
 SPEEDUP_FLOOR_DM = 5.0
 SPEEDUP_FLOOR_SV = 10.0
+#: Speedup floor of live-width over full-width NME term simulation.
+SPEEDUP_FLOOR_LIVE = 5.0
+#: Agreement tolerance of live-width and full-width distributions.
+LIVE_TOLERANCE = 1e-12
 #: Seed of every sampled arm (the grid asserts bitwise identity under it).
 SEED = 777
 #: Shots per circuit in the backend grid.
@@ -91,6 +105,14 @@ def statevector_chain(num_qubits: int, links: int) -> QuantumCircuit:
         circuit.rz(0.3 + 0.1 * qubit, qubit)
         circuit.cx(qubit, qubit + 1)
     return circuit
+
+
+def nme_term_batch() -> list[QuantumCircuit]:
+    """The measured term circuits of an NME GHZ-4 job at fragment width 2."""
+    pipeline = CutPipeline(max_fragment_width=2, entanglement_overlap=0.9)
+    decomposition = pipeline.decompose(pipeline.plan(ghz_circuit(4)))
+    pauli = PauliString("ZZZZ")
+    return [measured_multi_cut_circuit(term, pauli)[0] for term in decomposition.term_circuits]
 
 
 def _configuration(full: bool) -> dict:
@@ -198,6 +220,28 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     }
     assert distributed_means["einsum"] == distributed_means["dense"]
 
+    # -- live-width arm: NME term batch vs the full-width simulator --------------
+    nme_circuits = nme_term_batch()
+    live_seconds, live_distributions = _median_seconds(
+        lambda: VectorizedBackend(cache=DistributionCache()).exact_distributions(nme_circuits),
+        repeats,
+    )
+    # The full-width arm is the slow one (8-qubit density matrices); one run.
+    full_seconds, full_distributions = _median_seconds(
+        lambda: [DensityMatrixSimulator().run(c).classical_distribution() for c in nme_circuits], 1
+    )
+    live_speedup = full_seconds / live_seconds
+    max_deviation = 0.0
+    for live, full in zip(live_distributions, full_distributions):
+        assert live.keys() == full.keys(), "live-width key set differs from full width"
+        max_deviation = max([max_deviation] + [abs(live[key] - full[key]) for key in full])
+    assert max_deviation <= LIVE_TOLERANCE, max_deviation
+    live_bitwise = live_distributions == full_distributions
+    assert live_speedup >= SPEEDUP_FLOOR_LIVE, (
+        f"live-width {live_seconds:.3f}s vs full-width {full_seconds:.3f}s: "
+        f"{live_speedup:.1f}x < {SPEEDUP_FLOOR_LIVE}x on the NME GHZ-4 term batch"
+    )
+
     record = {
         "config": config,
         "density_matrix": {
@@ -224,11 +268,23 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
             "distributed_mean": distributed_means["einsum"],
         },
         "prepared_operator_cache": cache_info,
+        "live_width": {
+            "circuits": len(nme_circuits),
+            "declared_qubits": max(c.num_qubits for c in nme_circuits),
+            "live_median_seconds": round(live_seconds, 6),
+            "full_width_seconds": round(full_seconds, 6),
+            "speedup": round(live_speedup, 2),
+            "floor": SPEEDUP_FLOOR_LIVE,
+            "max_abs_deviation": max_deviation,
+            "tolerance": LIVE_TOLERANCE,
+            "distributions_bitwise_identical": live_bitwise,
+        },
     }
     path = bench_artifact("BENCH_kernels.json", record)
     print(
         f"\nkernels [{config['mode']}]: "
         f"DM {config['dm_qubits']}q {dm_speedup:.1f}x (floor {SPEEDUP_FLOOR_DM}x), "
         f"SV {config['sv_qubits']}q {sv_speedup:.1f}x (floor {SPEEDUP_FLOOR_SV}x), "
-        f"bitwise identity OK -> {path}"
+        f"live width {live_speedup:.1f}x (floor {SPEEDUP_FLOOR_LIVE}x, "
+        f"bitwise {live_bitwise}), bitwise identity OK -> {path}"
     )

@@ -11,10 +11,10 @@ Available backends
 ------------------
 
 =====================  ======================================================
-``SerialBackend``      One :class:`~repro.circuits.shot_simulator.ShotSimulator`
-                       run per circuit, in submission order.  Supports the
-                       ``trajectory`` method; the reference implementation
-                       every other backend must agree with.
+``SerialBackend``      One circuit at a time, in submission order, through
+                       the live-width engine as a batch of one.  Supports
+                       the ``trajectory`` method; the reference
+                       implementation every other backend must agree with.
 ``VectorizedBackend``  Groups structurally identical circuits, executes each
                        group as one ``(batch, dim, dim)`` NumPy computation
                        (:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`),
@@ -60,7 +60,6 @@ from repro.telemetry.metrics import REGISTRY
 from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, structure_signature
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
-from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.kernels import DEFAULT_KERNEL, resolve_kernel
 from repro.circuits.shot_simulator import ShotSimulator
 from repro.utils.rng import SeedLike, spawn_seed_sequences
@@ -263,10 +262,13 @@ def _sample_batch(
 
 
 class SerialBackend:
-    """Reference backend: one shot-simulator run per circuit, in order.
+    """Reference backend: one circuit at a time, in submission order.
 
-    This is the seed repository's original execution path behind the batch
-    interface, and the only backend supporting the ``trajectory`` method.
+    Exact distributions come from the same live-width engine as the
+    vectorized backend, run as a batch of one per circuit, and ``run_batch``
+    samples them through the shared per-circuit streams — so serial results
+    are the bitwise reference every other backend agrees with.  This is the
+    only backend supporting the ``trajectory`` method.
     """
 
     name = "serial"
@@ -274,6 +276,7 @@ class SerialBackend:
     def __init__(self, method: str = "exact", kernel: str | None = None):
         self.kernel = resolve_kernel(kernel)
         self._simulator = ShotSimulator(method=method, kernel=self.kernel)
+        self._engine = BatchedDensityMatrixSimulator(kernel=self.kernel)
         self.method = method
 
     def run_batch(
@@ -284,6 +287,8 @@ class SerialBackend:
     ) -> list[Counts]:
         _check_batch(circuits, shots)
         children = spawn_seed_sequences(seed, len(circuits))
+        if self.method == "exact":
+            return _sample_batch(self, circuits, shots, children)
         return [
             self._simulator.run(circuit, shots=int(count), seed=np.random.default_rng(child))
             if count > 0
@@ -294,8 +299,7 @@ class SerialBackend:
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
     ) -> list[dict[str, float]]:
-        simulator = DensityMatrixSimulator(kernel=self.kernel)
-        return [simulator.run(circuit).classical_distribution() for circuit in circuits]
+        return [self._engine.run_group([circuit])[0] for circuit in circuits]
 
 
 class VectorizedBackend:

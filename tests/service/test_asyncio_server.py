@@ -30,6 +30,7 @@ from repro.service import (
     TenantRateLimiter,
     run_job,
 )
+from utils.gated_backend import GatedBackend
 
 pytestmark = [pytest.mark.integration, pytest.mark.xdist_group("forkheavy")]
 
@@ -136,7 +137,19 @@ class TestAdmission:
             server.stop()
             run_service.close()
 
-    def test_quota_caps_active_jobs_per_tenant(self, ghz_spec):
+    def test_quota_caps_active_jobs_per_tenant(self, ghz_spec, monkeypatch):
+        # Every job's backend waits at a latch, so alice's first job stays
+        # active until the assertions below have run, however warm the
+        # process's caches are.
+        gated = GatedBackend("vectorized")
+        build_pipeline = JobSpec.build_pipeline
+
+        def gated_build(self):
+            pipeline = build_pipeline(self)
+            pipeline.backend = gated
+            return pipeline
+
+        monkeypatch.setattr(JobSpec, "build_pipeline", gated_build)
         run_service = RunService(workers=1, limiter=TenantRateLimiter(max_active=1))
         server = ServerThread(run_service)
         url = server.start()
@@ -150,6 +163,7 @@ class TestAdmission:
             # Another tenant is unaffected by alice's quota.
             bob.submit(ghz_spec(shots=200, seed=3))
         finally:
+            gated.release()
             server.stop()
             run_service.close()
 

@@ -36,6 +36,7 @@ CORE_SERIES = (
     "repro_plan_kappa",
     "repro_kernel_gate_applications_total",
     "repro_kernel_gate_seconds",
+    "repro_simulation_qubits",
 )
 #: Submitting threads × jobs per thread.
 THREADS = 3
@@ -137,6 +138,15 @@ def main() -> int:
             "kernel dispatch telemetry present: %s gate-latency observations",
             gate_observations,
         )
+        # Every simulated structure group observes its declared and its
+        # live (simulated) width once; live never exceeds declared.
+        declared = _sample(settled, 'repro_simulation_qubits_count{width="declared"}')
+        live = _sample(settled, 'repro_simulation_qubits_count{width="live"}')
+        assert declared is not None and declared >= 1.0 and live == declared, (declared, live)
+        assert _sample(settled, 'repro_simulation_qubits_sum{width="live"}') <= _sample(
+            settled, 'repro_simulation_qubits_sum{width="declared"}'
+        )
+        _LOG.info("simulation width telemetry present: %s simulated groups", declared)
 
         trace = store.get_trace(job_ids[0])
         assert trace is not None, "submitted job left no span tree in the store"
