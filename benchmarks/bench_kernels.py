@@ -2,28 +2,32 @@
 
 Run with ``pytest benchmarks/bench_kernels.py -q -s``.
 
-Two paired workloads time identical circuits under ``kernel="einsum"`` (the
-axis-local contraction kernels of :mod:`repro.circuits.kernels`) and
-``kernel="dense"`` (the legacy path that expands every operator to
-``2^n × 2^n``):
+Two paired workloads time identical circuits through the production
+simulators, which apply every gate with the axis-local contraction kernels of
+:mod:`repro.circuits.kernels` ("einsum"), and through the full-space
+reference of ``tests/utils/dense_reference.py`` ("dense"), which expands
+every operator to ``2^n × 2^n``:
 
 * a **density-matrix chain** — H/CX/T ladder with terminal measurements —
-  through :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`;
+  through :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`
+  vs the reference ``DenseDensityMatrixSimulator``;
 * a **statevector chain** — H/RZ/CX ladder — through
-  :class:`~repro.circuits.statevector_simulator.StatevectorSimulator`.
+  :class:`~repro.circuits.statevector_simulator.StatevectorSimulator` vs the
+  reference ``dense_statevector``.
 
 Asserted invariants (deterministic under the pinned seeds):
 
 * paired median wall times give einsum **≥ 5×** over dense on the
   density-matrix workload and **≥ 10×** on the statevector workload;
 * the exact classical distribution of the density-matrix workload and the
-  final statevector are **bitwise identical** between kernels (the
-  workload's gate entries make the contraction arithmetic exact, and
-  measurement/reset kernels are bitwise by construction);
+  final statevector are **bitwise identical** between einsum and the
+  reference (the workload's gate entries make the contraction arithmetic
+  exact, and measurement/reset kernels are bitwise by construction);
 * a backend grid — serial / vectorized / process-pool / the distributed
   ``execute_unit`` path — returns **bitwise-identical** exact distributions
-  and sampled counts for the same seed, for each kernel and *between*
-  kernels;
+  and sampled counts for the same seed, equal to the reference's exact
+  distributions sampled through the same per-circuit streams; the
+  ``execute_unit`` mean equals the in-process round's and the reference's;
 * the prepared-operator LRU served repeat gate applications (hits observed);
 * **live-width execution**: the 9 measured NME term circuits of a GHZ-4
   2-cut job (8 qubits declared, at most 5 live) through
@@ -51,16 +55,19 @@ from repro.circuits.backends import (
     ProcessPoolBackend,
     SerialBackend,
     VectorizedBackend,
+    _sample_batch,
 )
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import KERNEL_NAMES, clear_prepared_cache, prepared_cache_info
+from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.cutting import measured_multi_cut_circuit
 from repro.distributed import WorkUnit, execute_unit
 from repro.experiments import ghz_circuit
 from repro.pipeline import CutPipeline
 from repro.quantum.paulis import PauliString
+from repro.utils.rng import spawn_seed_sequences
+from tests.utils.dense_reference import DenseDensityMatrixSimulator, dense_statevector
 
 #: Speedup floors (paired medians, dense over einsum).
 SPEEDUP_FLOOR_DM = 5.0
@@ -74,8 +81,27 @@ SEED = 777
 #: Shots per circuit in the backend grid.
 SHOTS = 512
 #: Scale of the cross-backend identity grid (kept small: identity is
-#: scale-independent, and the grid re-simulates the dense arm per backend).
+#: scale-independent, and the grid re-simulates the dense reference arm).
 GRID_QUBITS = 6
+#: Labels of the two arms in ``BENCH_kernels.json``.
+ARM_LABELS = ["einsum", "dense-reference"]
+
+
+class DenseReferenceBackend:
+    """The dense reference behind the backend protocol.
+
+    Exact distributions come from ``DenseDensityMatrixSimulator``; samples
+    are drawn through the same per-circuit seed streams as every production
+    backend, so its counts are comparable bitwise.
+    """
+
+    name = "dense-reference"
+
+    def exact_distributions(self, circuits):
+        return [DenseDensityMatrixSimulator().run(c).classical_distribution() for c in circuits]
+
+    def run_batch(self, circuits, shots, seed=None):
+        return _sample_batch(self, circuits, shots, spawn_seed_sequences(seed, len(circuits)))
 
 
 def density_chain(num_qubits: int) -> QuantumCircuit:
@@ -132,12 +158,13 @@ def _median_seconds(run, repeats: int) -> tuple[float, object]:
     return statistics.median(samples), result
 
 
-def _grid_results(kernel: str, circuits, shots):
-    """Exact distributions + sampled counts from every in-process backend."""
+def _grid_results(circuits, shots):
+    """Exact distributions + sampled counts from every in-process backend and the reference."""
     backends = {
-        "serial": SerialBackend(kernel=kernel),
-        "vectorized": VectorizedBackend(cache=DistributionCache(), kernel=kernel),
-        "process-pool": ProcessPoolBackend(kernel=kernel),
+        "serial": SerialBackend(),
+        "vectorized": VectorizedBackend(cache=DistributionCache()),
+        "process-pool": ProcessPoolBackend(),
+        "dense-reference": DenseReferenceBackend(),
     }
     results = {}
     for name, backend in backends.items():
@@ -157,17 +184,17 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     dm_circuit = density_chain(config["dm_qubits"])
     clear_prepared_cache()
     einsum_dm_seconds, einsum_dm_result = _median_seconds(
-        lambda: DensityMatrixSimulator(kernel="einsum").run(dm_circuit), repeats
+        lambda: DensityMatrixSimulator().run(dm_circuit), repeats
     )
     cache_info = prepared_cache_info()
     dense_dm_seconds, dense_dm_result = _median_seconds(
-        lambda: DensityMatrixSimulator(kernel="dense").run(dm_circuit), repeats
+        lambda: DenseDensityMatrixSimulator().run(dm_circuit), repeats
     )
     dm_speedup = dense_dm_seconds / einsum_dm_seconds
     einsum_distribution = einsum_dm_result.classical_distribution()
     dense_distribution = dense_dm_result.classical_distribution()
     assert einsum_distribution == dense_distribution, (
-        "density-matrix distributions differ between kernels"
+        "density-matrix distributions differ between einsum and the dense reference"
     )
     assert dm_speedup >= SPEEDUP_FLOOR_DM, (
         f"einsum {einsum_dm_seconds:.3f}s vs dense {dense_dm_seconds:.3f}s: "
@@ -179,46 +206,45 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     # -- statevector arm ----------------------------------------------------------
     sv_circuit = statevector_chain(config["sv_qubits"], config["sv_links"])
     einsum_sv_seconds, einsum_sv_state = _median_seconds(
-        lambda: StatevectorSimulator(kernel="einsum").run(sv_circuit), repeats
+        lambda: StatevectorSimulator().run(sv_circuit), repeats
     )
     dense_sv_seconds, dense_sv_state = _median_seconds(
-        lambda: StatevectorSimulator(kernel="dense").run(sv_circuit), repeats
+        lambda: dense_statevector(sv_circuit), repeats
     )
     sv_speedup = dense_sv_seconds / einsum_sv_seconds
     assert np.array_equal(einsum_sv_state.data, dense_sv_state.data), (
-        "statevectors differ between kernels"
+        "statevectors differ between einsum and the dense reference"
     )
     assert sv_speedup >= SPEEDUP_FLOOR_SV, (
         f"einsum {einsum_sv_seconds:.3f}s vs dense {dense_sv_seconds:.3f}s: "
         f"{sv_speedup:.1f}x < {SPEEDUP_FLOOR_SV}x on {config['sv_qubits']}-qubit statevector"
     )
 
-    # -- backend grid: bitwise identity across backends and kernels ---------------
+    # -- backend grid: bitwise identity across backends and the reference -------
     grid_circuit = density_chain(GRID_QUBITS)
     grid_circuits = [grid_circuit, grid_circuit.copy()]
     grid_shots = [SHOTS, SHOTS // 2]
-    grids = {kernel: _grid_results(kernel, grid_circuits, grid_shots) for kernel in KERNEL_NAMES}
-    reference = grids["einsum"]["serial"]
-    for kernel, grid in grids.items():
-        for backend_name, got in grid.items():
-            assert got == reference, (
-                f"{backend_name}/{kernel} diverged from serial/einsum"
-            )
+    grid = _grid_results(grid_circuits, grid_shots)
+    reference = grid["serial"]
+    for backend_name, got in grid.items():
+        assert got == reference, f"{backend_name} diverged from serial"
 
     # Distributed seam: execute_unit (what every pool worker runs) agrees
-    # between kernels and with the in-process grid for the same round seed.
+    # with the reference and with the in-process round for the same seed.
     unit = WorkUnit(round_index=0, term_index=0, shots=SHOTS, seed=np.random.SeedSequence(SEED))
     selected = [[0, 1], [0, 1]]
     distributed_means = {
-        kernel: execute_unit(
-            VectorizedBackend(cache=DistributionCache(), kernel=kernel),
-            grid_circuits,
-            selected,
-            unit,
-        ).mean
-        for kernel in KERNEL_NAMES
+        label: execute_unit(backend, grid_circuits, selected, unit).mean
+        for label, backend in zip(
+            ARM_LABELS, (VectorizedBackend(cache=DistributionCache()), DenseReferenceBackend())
+        )
     }
-    assert distributed_means["einsum"] == distributed_means["dense"]
+    in_process_mean = float(
+        VectorizedBackend(cache=DistributionCache())
+        .run_batch(grid_circuits, [SHOTS, 0], seed=np.random.SeedSequence(SEED))[0]
+        .expectation_z(selected[0])
+    )
+    assert distributed_means["einsum"] == distributed_means["dense-reference"] == in_process_mean
 
     # -- live-width arm: NME term batch vs the full-width simulator --------------
     nme_circuits = nme_term_batch()
@@ -263,7 +289,7 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
         "backend_grid": {
             "qubits": GRID_QUBITS,
             "backends": ["serial", "vectorized", "process-pool", "distributed-unit"],
-            "kernels": list(KERNEL_NAMES),
+            "kernels": ARM_LABELS,
             "bitwise_identical": True,
             "distributed_mean": distributed_means["einsum"],
         },

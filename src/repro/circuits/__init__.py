@@ -18,9 +18,8 @@ Public API
     Batched execution of circuit collections (serial, vectorized,
     process-pool) behind one interface; see :mod:`repro.circuits.backends`.
 
-Every simulator and backend accepts ``kernel="einsum"`` (axis-local tensor
-contraction, the default) or ``kernel="dense"`` (legacy full-space
-operators, the reference implementation); see :mod:`repro.circuits.kernels`.
+Every simulator and backend applies gates with the axis-local tensor
+contractions of :mod:`repro.circuits.kernels`.
 """
 
 from repro.circuits.backends import (
@@ -32,7 +31,6 @@ from repro.circuits.backends import (
     VectorizedBackend,
     circuit_fingerprint,
     default_distribution_cache,
-    kernel_cache_key,
     resolve_backend,
 )
 from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, structure_signature
@@ -51,13 +49,7 @@ from repro.circuits.expectation import (
     sampled_pauli_expectation,
 )
 from repro.circuits.instruction import Instruction
-from repro.circuits.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_NAMES,
-    clear_prepared_cache,
-    prepared_cache_info,
-    resolve_kernel,
-)
+from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.serialization import circuit_from_payload, circuit_to_payload
 from repro.circuits.shot_simulator import ShotSimulator, run_and_sample
 from repro.circuits.statevector_simulator import StatevectorSimulator, simulate_statevector
@@ -91,10 +83,6 @@ __all__ = [
     "BACKEND_NAMES",
     "BatchedDensityMatrixSimulator",
     "structure_signature",
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
-    "kernel_cache_key",
     "prepared_cache_info",
     "clear_prepared_cache",
 ]

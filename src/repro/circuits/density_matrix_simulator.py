@@ -12,22 +12,14 @@ exact and fast.  The exact classical-outcome distribution it produces is what
 the fast "exact sampling" mode of :class:`~repro.circuits.shot_simulator.ShotSimulator`
 draws from.
 
-Simulation kernels
-------------------
-
-Two gate-application kernels are available (see
-:mod:`repro.circuits.kernels`):
-
-``einsum`` (default)
-    Axis-local tensor contraction: the density matrix is viewed as a
-    rank-``2n`` tensor and each k-qubit gate touches only its target axes —
-    O(4^n · 2^k) per gate instead of O(8^n).  Measurement, reset and
-    initialise are axis-sliced block moves.
-
-``dense``
-    The legacy full-space path: every operator is embedded into ``2^n × 2^n``
-    with :func:`~repro.utils.linalg.expand_operator` and applied with dense
-    matmuls.  Kept as the reference implementation and escape hatch.
+Gates, measurement, reset and initialise run on the axis-local kernels of
+:mod:`repro.circuits.kernels`: the density matrix is viewed as a rank-``2n``
+tensor and each k-qubit gate touches only its target axes — O(4^n · 2^k) per
+gate.  The simulator works at the circuit's declared width (the exact engine
+behind the backends, :class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`,
+runs at live width instead); :meth:`DensityMatrixSimulator.run` bounds its
+branch table's bytes and raises :class:`~repro.exceptions.SimulationError`
+above :data:`~repro.circuits.kernels.MAX_SIMULATION_BYTES` before allocating.
 
 Gate noise
 ----------
@@ -39,10 +31,9 @@ the gate, or ``None`` for no noise.  Because a density matrix is evolved,
 arbitrary CPTP noise — depolarising, amplitude damping, their compositions —
 is exact, not sampled.  This is the mechanism behind
 :class:`repro.devices.NoisyDeviceBackend`; the hook lives here so the
-circuits layer stays ignorant of device modelling.  Under the ``einsum``
-kernel the Kraus operators are applied locally (and their prepared tensor
-forms are memoised in the shared operator LRU); under ``dense`` they are
-expanded to the full space exactly as before.
+circuits layer stays ignorant of device modelling.  The Kraus operators are
+applied locally, and their prepared tensor forms are memoised in the shared
+operator LRU.
 """
 
 from __future__ import annotations
@@ -50,7 +41,6 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +48,7 @@ from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import BARRIER, GATE, INITIALIZE, MEASURE, RESET
 from repro.circuits.kernels import (
+    MAX_SIMULATION_BYTES,
     apply_initialize,
     apply_kraus,
     apply_reset,
@@ -65,62 +56,15 @@ from repro.circuits.kernels import (
     prepare_operator,
     project_qubit,
     record_gate_application,
-    resolve_kernel,
 )
 from repro.quantum.states import DensityMatrix, Statevector
-from repro.utils.linalg import expand_operator
 
 __all__ = [
     "DensityMatrixSimulator",
     "BranchedResult",
     "Branch",
     "GateNoiseHook",
-    "expanded_projectors",
-    "expanded_reset_kraus",
 ]
-
-
-@lru_cache(maxsize=256)
-def expanded_projectors(qubit: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the full-space ``(P₀, P₁)`` projectors for one qubit, memoised.
-
-    Repeated mid-circuit measurements of the same ``(qubit, num_qubits)``
-    pair previously re-ran the O(4^n) expansion on every instruction; the
-    cache builds each pair once per process.  The returned arrays are shared
-    — callers must not mutate them.
-    """
-    p0 = expand_operator(np.diag([1.0, 0.0]).astype(complex), [qubit], num_qubits)
-    p1 = expand_operator(np.diag([0.0, 1.0]).astype(complex), [qubit], num_qubits)
-    return p0, p1
-
-
-@lru_cache(maxsize=256)
-def expanded_reset_kraus(qubit: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the full-space reset Kraus pair ``(K₀, K₁)`` for one qubit, memoised.
-
-    ``K₀ = |0⟩⟨0|`` and ``K₁ = |0⟩⟨1|`` on the target qubit.  As with
-    :func:`expanded_projectors`, the arrays are shared and must not be
-    mutated.
-    """
-    k0 = expand_operator(np.array([[1, 0], [0, 0]], dtype=complex), [qubit], num_qubits)
-    k1 = expand_operator(np.array([[0, 1], [0, 0]], dtype=complex), [qubit], num_qubits)
-    return k0, k1
-
-
-def _local_initialize_kraus(target: np.ndarray) -> list[np.ndarray]:
-    """Return the local reset-to-state Kraus family ``|target⟩⟨j|``.
-
-    Each operator is written column-by-column — no ``dim × dim`` identity is
-    materialised to pick out the basis bras.
-    """
-    target = np.asarray(target, dtype=complex).ravel()
-    dim = target.shape[0]
-    operators = []
-    for j in range(dim):
-        kraus = np.zeros((dim, dim), dtype=complex)
-        kraus[:, j] = target
-        operators.append(kraus)
-    return operators
 
 
 @dataclass(frozen=True)
@@ -212,21 +156,34 @@ class DensityMatrixSimulator:
         instruction order) the corresponding channel is applied right after
         the gate, on exactly the branches the gate acted on (classically
         conditioned gates stay noiseless on branches that skip them).
-    kernel:
-        Gate-application kernel: ``"einsum"`` (axis-local contraction, the
-        default) or ``"dense"`` (legacy full-space operators).
     """
 
-    def __init__(self, gate_noise: GateNoiseHook | None = None, kernel: str | None = None):
+    def __init__(self, gate_noise: GateNoiseHook | None = None):
         self._gate_noise = gate_noise
-        self.kernel = resolve_kernel(kernel)
 
     def run(
         self,
         circuit: QuantumCircuit,
         initial_state: DensityMatrix | Statevector | np.ndarray | None = None,
     ) -> BranchedResult:
-        """Execute ``circuit`` exactly and return all classical branches."""
+        """Execute ``circuit`` exactly and return all classical branches.
+
+        Raises
+        ------
+        SimulationError
+            When the estimated peak bytes of the branch table,
+            ``16 · 4^n · 2^min(#measure, num_clbits)``, exceed
+            :data:`~repro.circuits.kernels.MAX_SIMULATION_BYTES` (raised
+            before allocating).
+        """
+        measurements = sum(1 for ins in circuit.instructions if ins.kind == MEASURE)
+        estimate = 16 * 4**circuit.num_qubits * 2 ** min(measurements, circuit.num_clbits)
+        if estimate > MAX_SIMULATION_BYTES:
+            raise SimulationError(
+                f"simulating {circuit.name!r} at its full width of {circuit.num_qubits} qubits "
+                f"needs an estimated {estimate} bytes ({measurements} measurements), above the "
+                f"{MAX_SIMULATION_BYTES}-byte limit"
+            )
         rho = self._initial_density(circuit, initial_state)
         num_qubits = circuit.num_qubits
         num_clbits = circuit.num_clbits
@@ -294,24 +251,12 @@ class DensityMatrixSimulator:
         if self._gate_noise is not None:
             kraus_local = self._gate_noise(instruction)
 
-        if self.kernel == "einsum":
-            prepared = prepare_operator(instruction.matrix)
-            prepared_kraus = (
-                None
-                if kraus_local is None
-                else [prepare_operator(np.asarray(k, dtype=complex)) for k in kraus_local]
-            )
-        else:
-            unitary = expand_operator(instruction.matrix, qubits, num_qubits)
-            unitary_dag = unitary.conj().T
-            kraus_full = (
-                None
-                if kraus_local is None
-                else [
-                    expand_operator(np.asarray(k, dtype=complex), qubits, num_qubits)
-                    for k in kraus_local
-                ]
-            )
+        prepared = prepare_operator(instruction.matrix)
+        prepared_kraus = (
+            None
+            if kraus_local is None
+            else [prepare_operator(np.asarray(k, dtype=complex)) for k in kraus_local]
+        )
 
         updated: dict[tuple[int, ...], np.ndarray] = {}
         applications = 0
@@ -322,25 +267,14 @@ class DensityMatrixSimulator:
                 if clbits[clbit] != value:
                     updated[clbits] = matrix
                     continue
-            if self.kernel == "einsum":
-                evolved = apply_unitary(matrix, prepared, qubits, num_qubits)
-                if prepared_kraus is not None:
-                    evolved = apply_kraus(evolved, prepared_kraus, qubits, num_qubits)
-            else:
-                evolved = unitary @ matrix @ unitary_dag
-                if kraus_full is not None:
-                    evolved = sum(k @ evolved @ k.conj().T for k in kraus_full)
+            evolved = apply_unitary(matrix, prepared, qubits, num_qubits)
+            if prepared_kraus is not None:
+                evolved = apply_kraus(evolved, prepared_kraus, qubits, num_qubits)
             updated[clbits] = evolved
             applications += 1
         if applications:
-            record_gate_application(
-                self.kernel, len(qubits), time.perf_counter() - start, count=applications
-            )
+            record_gate_application(len(qubits), time.perf_counter() - start, count=applications)
         return updated
-
-    @staticmethod
-    def _projectors(qubit: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-        return expanded_projectors(qubit, num_qubits)
 
     def _apply_measure(
         self,
@@ -350,15 +284,9 @@ class DensityMatrixSimulator:
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubit = instruction.qubits[0]
         clbit = instruction.clbits[0]
-        if self.kernel == "dense":
-            p0, p1 = self._projectors(qubit, num_qubits)
         updated: dict[tuple[int, ...], np.ndarray] = {}
         for clbits, matrix in branches.items():
-            if self.kernel == "einsum":
-                pieces = project_qubit(matrix, qubit, num_qubits)
-            else:
-                pieces = (p0 @ matrix @ p0, p1 @ matrix @ p1)
-            for outcome, piece in enumerate(pieces):
+            for outcome, piece in enumerate(project_qubit(matrix, qubit, num_qubits)):
                 if np.trace(piece).real <= 1e-16:
                     continue
                 new_clbits = list(clbits)
@@ -374,17 +302,9 @@ class DensityMatrixSimulator:
         num_qubits: int,
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubit = instruction.qubits[0]
-        if self.kernel == "einsum":
-            return {
-                clbits: apply_reset(matrix, qubit, num_qubits)
-                for clbits, matrix in branches.items()
-            }
-        # Reset channel: K0 = |0><0|, K1 = |0><1| on the target qubit.
-        k0, k1 = expanded_reset_kraus(qubit, num_qubits)
-        updated: dict[tuple[int, ...], np.ndarray] = {}
-        for clbits, matrix in branches.items():
-            updated[clbits] = k0 @ matrix @ k0.conj().T + k1 @ matrix @ k1.conj().T
-        return updated
+        return {
+            clbits: apply_reset(matrix, qubit, num_qubits) for clbits, matrix in branches.items()
+        }
 
     def _apply_initialize(
         self,
@@ -394,23 +314,15 @@ class DensityMatrixSimulator:
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubits = list(instruction.qubits)
         target = np.asarray(instruction.matrix, dtype=complex).ravel()
-        if self.kernel == "einsum":
-            return {
-                clbits: apply_initialize(matrix, target, qubits, num_qubits)
-                for clbits, matrix in branches.items()
-            }
-        kraus_local = _local_initialize_kraus(target)
-        kraus_full = [expand_operator(k, qubits, num_qubits) for k in kraus_local]
-        updated: dict[tuple[int, ...], np.ndarray] = {}
-        for clbits, matrix in branches.items():
-            updated[clbits] = sum(k @ matrix @ k.conj().T for k in kraus_full)
-        return updated
+        return {
+            clbits: apply_initialize(matrix, target, qubits, num_qubits)
+            for clbits, matrix in branches.items()
+        }
 
 
 def simulate_density_matrix(
     circuit: QuantumCircuit,
     initial_state: DensityMatrix | Statevector | np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> BranchedResult:
     """Convenience wrapper: run :class:`DensityMatrixSimulator` on ``circuit``."""
-    return DensityMatrixSimulator(kernel=kernel).run(circuit, initial_state)
+    return DensityMatrixSimulator().run(circuit, initial_state)

@@ -19,14 +19,10 @@ All density-matrix kernels accept an optional leading batch axis (shape
 ``(batch, dim, dim)``), so the serial and vectorized simulators share one
 code path and stay bitwise identical per slice.
 
-Two kernels are exposed through every simulator and backend seam:
-
-``einsum`` (default)
-    The axis-local contractions above.
-
-``dense``
-    The legacy full-space-operator path, kept verbatim as the reference
-    implementation and escape hatch (``kernel="dense"``).
+These kernels are the only gate-application path of every simulator and
+backend.  The legacy full-space-operator path survives solely as a test
+oracle (``tests/utils/dense_reference.py``), against which the property
+suites check these kernels to 1e-12.
 
 Prepared-operator cache
 -----------------------
@@ -44,10 +40,17 @@ Telemetry
 
 :func:`record_gate_application` feeds two instruments on the process-global
 metrics registry — a dispatch counter labelled by ``(kernel, arity)`` and a
-per-gate-application latency histogram labelled by ``kernel`` — giving
-``GET /metrics`` a live view of which kernels run and what each application
-costs.  Purely additive observability: results are bitwise identical with
-telemetry on or off.
+per-gate-application latency histogram labelled by ``kernel`` (always
+``"einsum"``) — giving ``GET /metrics`` a live view of how many gates of each
+arity run and what each application costs.  Purely additive observability:
+results are bitwise identical with telemetry on or off.
+
+Size limit
+----------
+
+:data:`MAX_SIMULATION_BYTES` bounds the estimated peak allocation of one
+simulate call; both exact density-matrix simulators raise
+:class:`~repro.exceptions.SimulationError` above it before allocating.
 """
 
 from __future__ import annotations
@@ -63,9 +66,7 @@ from repro.exceptions import SimulationError
 from repro.telemetry.metrics import REGISTRY
 
 __all__ = [
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
+    "MAX_SIMULATION_BYTES",
     "matrix_fingerprint",
     "PreparedOperator",
     "prepare_operator",
@@ -80,11 +81,8 @@ __all__ = [
     "record_gate_application",
 ]
 
-#: Kernel names accepted by every simulator/backend ``kernel=`` parameter.
-KERNEL_NAMES = ("einsum", "dense")
-
-#: The kernel used when none is requested explicitly.
-DEFAULT_KERNEL = "einsum"
+#: Largest estimated peak allocation (bytes) one simulate call may make.
+MAX_SIMULATION_BYTES = 2**31
 
 #: Capacity of the prepared-operator LRU (distinct (matrix, arity) payloads).
 _PREPARED_CACHE_MAXSIZE = 1024
@@ -110,22 +108,10 @@ _GATE_SECONDS = REGISTRY.histogram(
 )
 
 
-def resolve_kernel(kernel: str | None) -> str:
-    """Return a validated kernel name, defaulting to :data:`DEFAULT_KERNEL`."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    name = str(kernel).lower()
-    if name not in KERNEL_NAMES:
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}"
-        )
-    return name
-
-
-def record_gate_application(kernel: str, arity: int, seconds: float, count: int = 1) -> None:
-    """Record ``count`` gate applications taking ``seconds`` total on ``kernel``."""
-    _GATE_DISPATCH.inc(count, kernel=kernel, arity=str(arity))
-    _GATE_SECONDS.observe(seconds, kernel=kernel)
+def record_gate_application(arity: int, seconds: float, count: int = 1) -> None:
+    """Record ``count`` gate applications of ``arity`` qubits taking ``seconds`` total."""
+    _GATE_DISPATCH.inc(count, kernel="einsum", arity=str(arity))
+    _GATE_SECONDS.observe(seconds, kernel="einsum")
 
 
 # -- prepared operators ------------------------------------------------------------

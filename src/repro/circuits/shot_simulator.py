@@ -28,7 +28,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.instruction import BARRIER, GATE, INITIALIZE, MEASURE, RESET
-from repro.circuits.kernels import resolve_kernel
 from repro.quantum.states import Statevector
 from repro.utils.rng import SeedLike, as_generator
 
@@ -54,13 +53,10 @@ def _preparation_unitary(target: np.ndarray) -> np.ndarray:
 class ShotSimulator:
     """Samples measurement outcomes of circuits containing measurements."""
 
-    def __init__(self, method: str = "exact", kernel: str | None = None):
+    def __init__(self, method: str = "exact"):
         if method not in {"exact", "trajectory"}:
             raise SimulationError(f"unknown method {method!r}; use 'exact' or 'trajectory'")
         self.method = method
-        #: Simulation kernel forwarded to the exact density-matrix run (the
-        #: trajectory method contracts axis-locally regardless).
-        self.kernel = resolve_kernel(kernel)
 
     def run(
         self,
@@ -94,7 +90,7 @@ class ShotSimulator:
         rng: np.random.Generator,
         initial_state: Statevector | np.ndarray | None,
     ) -> Counts:
-        result = DensityMatrixSimulator(kernel=self.kernel).run(circuit, initial_state)
+        result = DensityMatrixSimulator().run(circuit, initial_state)
         distribution = result.classical_distribution()
         return Counts.from_probabilities(
             distribution, shots=shots, num_clbits=circuit.num_clbits, seed=rng
@@ -200,9 +196,8 @@ def run_and_sample(
     seed: SeedLike = None,
     method: str = "exact",
     initial_state: Statevector | np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> Counts:
     """Convenience wrapper: sample ``circuit`` with a fresh :class:`ShotSimulator`."""
-    return ShotSimulator(method=method, kernel=kernel).run(
+    return ShotSimulator(method=method).run(
         circuit, shots, seed=seed, initial_state=initial_state
     )

@@ -6,19 +6,11 @@ instructions must use the density-matrix or shot simulators instead — except
 that *trailing* measurements are tolerated and simply ignored, which lets a
 single circuit be reused for exact and sampled evaluation.
 
-Two gate-application kernels are available (see
-:mod:`repro.circuits.kernels`):
-
-``einsum`` (default)
-    Axis-local tensor contraction: the statevector is viewed as a rank-``n``
-    tensor and each k-qubit gate is one ``(2^k × 2^k) @ (2^k × 2^{n-k})``
-    matmul on its target axes — O(2^n · 2^k) per gate.  Gate matrices are
-    memoised through the shared prepared-operator LRU.
-
-``dense``
-    The legacy full-space path: each gate is embedded into ``2^n × 2^n`` with
-    :func:`~repro.utils.linalg.expand_operator` and applied as a full
-    matrix-vector product.  Kept as the reference implementation.
+Gates run on the axis-local kernel of :mod:`repro.circuits.kernels`: the
+statevector is viewed as a rank-``n`` tensor and each k-qubit gate is one
+``(2^k × 2^k) @ (2^k × 2^{n-k})`` matmul on its target axes — O(2^n · 2^k)
+per gate.  Gate matrices are memoised through the shared prepared-operator
+LRU.
 """
 
 from __future__ import annotations
@@ -34,26 +26,14 @@ from repro.circuits.kernels import (
     apply_unitary_statevector,
     prepare_operator,
     record_gate_application,
-    resolve_kernel,
 )
 from repro.quantum.states import Statevector
-from repro.utils.linalg import expand_operator
 
 __all__ = ["StatevectorSimulator", "simulate_statevector"]
 
 
 class StatevectorSimulator:
-    """Exact simulator for unitary circuits.
-
-    Parameters
-    ----------
-    kernel:
-        Gate-application kernel: ``"einsum"`` (axis-local contraction, the
-        default) or ``"dense"`` (legacy full-space operators).
-    """
-
-    def __init__(self, kernel: str | None = None):
-        self.kernel = resolve_kernel(kernel)
+    """Exact simulator for unitary circuits."""
 
     def run(
         self,
@@ -96,15 +76,9 @@ class StatevectorSimulator:
                 )
             qubits = list(instruction.qubits)
             start = time.perf_counter()
-            if self.kernel == "einsum":
-                prepared = prepare_operator(instruction.matrix)
-                state = apply_unitary_statevector(state, prepared, qubits, num_qubits)
-            else:
-                full = expand_operator(
-                    np.asarray(instruction.matrix, dtype=complex), qubits, num_qubits
-                )
-                state = full @ state
-            record_gate_application(self.kernel, len(qubits), time.perf_counter() - start)
+            prepared = prepare_operator(instruction.matrix)
+            state = apply_unitary_statevector(state, prepared, qubits, num_qubits)
+            record_gate_application(len(qubits), time.perf_counter() - start)
         return Statevector(state, validate=False)
 
     @staticmethod
@@ -124,7 +98,6 @@ class StatevectorSimulator:
 def simulate_statevector(
     circuit: QuantumCircuit,
     initial_state: Statevector | np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> Statevector:
     """Convenience wrapper: run :class:`StatevectorSimulator` on ``circuit``."""
-    return StatevectorSimulator(kernel=kernel).run(circuit, initial_state)
+    return StatevectorSimulator().run(circuit, initial_state)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.circuits import density_matrix_simulator
+from repro.circuits.backends import DistributionCache
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.density_matrix_simulator import simulate_density_matrix
+from repro.circuits.density_matrix_simulator import DensityMatrixSimulator, simulate_density_matrix
+from repro.circuits.shot_simulator import ShotSimulator
+from repro.devices import NoiseModel, NoisyDeviceBackend
 from repro.quantum.measures import state_fidelity
 from repro.quantum.random import random_statevector
 from repro.quantum.states import DensityMatrix, Statevector
@@ -163,3 +167,42 @@ class TestResetAndInitialize:
         circuit.h(0).h(1).measure_all()
         result = simulate_density_matrix(circuit)
         assert sum(b.probability for b in result.branches) == pytest.approx(1.0)
+
+
+def _wide_circuit() -> QuantumCircuit:
+    circuit = QuantumCircuit(16, 1, name="wide16")
+    circuit.h(0).cx(0, 15).measure(15, 0)
+    return circuit
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            simulate_density_matrix,
+            lambda circuit: ShotSimulator().run(circuit, shots=10, seed=0),
+            lambda circuit: NoisyDeviceBackend(
+                NoiseModel(depolarizing_1q=0.01), cache=DistributionCache()
+            ).exact_distributions([circuit]),
+        ],
+        ids=["density-matrix", "exact-shots", "gate-noise"],
+    )
+    def test_wide_circuit_raises_before_allocating(self, monkeypatch, run):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(DensityMatrixSimulator, "_initial_density", no_allocation)
+        with pytest.raises(SimulationError, match=r"full width of 16 qubits") as info:
+            run(_wide_circuit())
+        assert str(16 * 4**16 * 2) in str(info.value)
+
+    def test_bound_counts_measurements_up_to_clbits(self, monkeypatch):
+        # Three measurements into one clbit branch at most twice: 16 · 4² · 2¹ bytes.
+        circuit = QuantumCircuit(2, 1)
+        circuit.h(0).measure(0, 0).h(1).measure(1, 0).measure(0, 0)
+        limit = 16 * 4**2 * 2
+        monkeypatch.setattr(density_matrix_simulator, "MAX_SIMULATION_BYTES", limit)
+        assert sum(simulate_density_matrix(circuit).classical_distribution().values()) == pytest.approx(1.0)
+        monkeypatch.setattr(density_matrix_simulator, "MAX_SIMULATION_BYTES", limit - 1)
+        with pytest.raises(SimulationError, match="byte limit"):
+            simulate_density_matrix(circuit)

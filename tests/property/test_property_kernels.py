@@ -1,10 +1,11 @@
-"""Property-based equivalence of the einsum and dense simulation kernels.
+"""Property-based equivalence of the einsum kernels and the dense reference.
 
-The axis-local ``einsum`` kernels must be indistinguishable from the legacy
-``dense`` reference path on arbitrary circuits: final states and exact
-distributions agree to 1e-12, and — for a fixed kernel — every execution
-backend returns bitwise-identical distributions and sampled counts for the
-same seed (the repo-wide determinism contract).
+The production simulators, which apply every gate with the axis-local
+kernels, must be indistinguishable from the full-space reference of
+``tests/utils/dense_reference.py`` on arbitrary circuits: final states and
+exact distributions agree to 1e-12.  Every execution backend returns
+bitwise-identical distributions and sampled counts for the same seed (the
+repo-wide determinism contract).
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from repro.circuits.backends import ProcessPoolBackend, SerialBackend, VectorizedBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import KERNEL_NAMES
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.devices import NoiseModel, NoisyDeviceBackend
+from utils.dense_reference import DenseDensityMatrixSimulator, dense_statevector
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -110,8 +111,8 @@ class TestKernelEquivalence:
     @given(circuit=mixed_circuits())
     def test_density_matrix_distributions_agree(self, circuit):
         """einsum and dense produce the same exact distribution to 1e-12."""
-        einsum = DensityMatrixSimulator(kernel="einsum").run(circuit)
-        dense = DensityMatrixSimulator(kernel="dense").run(circuit)
+        einsum = DensityMatrixSimulator().run(circuit)
+        dense = DenseDensityMatrixSimulator().run(circuit)
         _distributions_close(
             einsum.classical_distribution(), dense.classical_distribution(), atol=1e-12
         )
@@ -123,8 +124,8 @@ class TestKernelEquivalence:
     @SETTINGS
     @given(circuit=unitary_circuits())
     def test_statevector_states_agree(self, circuit):
-        einsum = StatevectorSimulator(kernel="einsum").run(circuit).data
-        dense = StatevectorSimulator(kernel="dense").run(circuit).data
+        einsum = StatevectorSimulator().run(circuit).data
+        dense = dense_statevector(circuit).data
         np.testing.assert_allclose(einsum, dense, atol=1e-12)
 
     @SETTINGS
@@ -137,32 +138,31 @@ class TestKernelEquivalence:
         """The local-Kraus noise path matches the expanded reference."""
         noise = NoiseModel(depolarizing_1q=p1, depolarizing_2q=p2)
         hook = noise.gate_noise_hook
-        einsum = DensityMatrixSimulator(gate_noise=hook, kernel="einsum").run(circuit)
-        dense = DensityMatrixSimulator(gate_noise=hook, kernel="dense").run(circuit)
+        einsum = DensityMatrixSimulator(gate_noise=hook).run(circuit)
+        dense = DenseDensityMatrixSimulator(gate_noise=hook).run(circuit)
         _distributions_close(
             einsum.classical_distribution(), dense.classical_distribution(), atol=1e-12
         )
 
 
 class TestCrossBackendBitwise:
-    """For a fixed kernel, every backend is bitwise identical per seed."""
+    """Every backend is bitwise identical per seed."""
 
     @SETTINGS
     @given(
         circuit=mixed_circuits(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        kernel=st.sampled_from(KERNEL_NAMES),
     )
-    def test_distributions_and_counts_bitwise_across_backends(self, circuit, seed, kernel):
+    def test_distributions_and_counts_bitwise_across_backends(self, circuit, seed):
         circuits = [circuit, circuit.copy()]
         shots = [64, 128]
         backends = [
-            SerialBackend(kernel=kernel),
-            VectorizedBackend(cache=None, kernel=kernel),
+            SerialBackend(),
+            VectorizedBackend(cache=None),
             # chunk_size keeps the pool on its in-process path: worker
             # processes are exercised (slowly) by tests/circuits/test_backends
             # and the kernel benchmark; the arithmetic is chunk-invariant.
-            ProcessPoolBackend(chunk_size=len(circuits), kernel=kernel),
+            ProcessPoolBackend(chunk_size=len(circuits)),
         ]
         reference_distributions = None
         reference_counts = None
@@ -182,15 +182,14 @@ class TestCrossBackendBitwise:
     @given(
         circuit=mixed_circuits(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        kernel=st.sampled_from(KERNEL_NAMES),
     )
-    def test_noisy_backend_bitwise_across_inner_backends(self, circuit, seed, kernel):
+    def test_noisy_backend_bitwise_across_inner_backends(self, circuit, seed):
         noise = NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05, readout_p01=0.01)
         circuits = [circuit]
         shots = [96]
         results = []
         for inner in ("serial", "vectorized"):
-            backend = NoisyDeviceBackend(noise, inner=inner, kernel=kernel)
+            backend = NoisyDeviceBackend(noise, inner=inner)
             backend.cache.clear()
             results.append(
                 (

@@ -6,9 +6,10 @@ terminal measurements read off the diagonal).  On random circuits over the
 full instruction set — mid-circuit measurement with ``c_if`` corrections,
 ``reset``, multi-qubit ``initialize``, idle and never-touched qubits,
 re-used slots, terminal measurements overwriting earlier clbits — it must
-agree with the full-width :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`
-on the key set and to 1e-12 on every value, under both kernels; and a
-batch must give every circuit bitwise the distribution it gets alone.
+agree on the key set and to 1e-12 on every value with both full-width
+oracles: the einsum-kernel :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`
+and the dense reference of ``tests/utils/dense_reference.py``.  A batch
+must give every circuit bitwise the distribution it gets alone.
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, live_width_schedule
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import KERNEL_NAMES
 from tests.property.strategies import angles, single_qubit_statevectors, two_qubit_statevectors
+from utils.dense_reference import DenseDensityMatrixSimulator
 
 SETTINGS = settings(max_examples=40, deadline=None)
 TOLERANCE = 1e-12
@@ -105,22 +106,30 @@ def _build(num_qubits: int, num_clbits: int, ops, element: int) -> QuantumCircui
     return circuit
 
 
-def _assert_matches_oracle(distribution: dict, circuit: QuantumCircuit, kernel: str) -> None:
-    expected = DensityMatrixSimulator(kernel=kernel).run(circuit).classical_distribution()
+#: The full-width oracles: the production simulator and the dense reference.
+ORACLES = pytest.mark.parametrize(
+    "oracle",
+    [DensityMatrixSimulator, DenseDensityMatrixSimulator],
+    ids=["einsum", "dense"],
+)
+
+
+def _assert_matches_oracle(distribution: dict, circuit: QuantumCircuit, oracle) -> None:
+    expected = oracle().run(circuit).classical_distribution()
     assert distribution.keys() == expected.keys()
     for key, value in expected.items():
         assert abs(distribution[key] - value) <= TOLERANCE, (key, distribution[key], value)
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@ORACLES
 @SETTINGS
 @given(structure=op_lists())
-def test_live_width_matches_full_width_oracle(kernel, structure):
+def test_live_width_matches_full_width_oracle(oracle, structure):
     circuits = [_build(*structure, element) for element in range(BATCH)]
-    engine = BatchedDensityMatrixSimulator(kernel=kernel)
+    engine = BatchedDensityMatrixSimulator()
     batched = engine.run_group(circuits)
     for circuit, distribution in zip(circuits, batched):
-        _assert_matches_oracle(distribution, circuit, kernel)
+        _assert_matches_oracle(distribution, circuit, oracle)
         # A batch of one (the serial backend) is bitwise the batched slice.
         assert engine.run_group([circuit])[0] == distribution
 
@@ -138,8 +147,8 @@ def test_schedule_never_wider_than_declared(structure):
             assert instruction.kind == "reset"
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
-def test_slot_reused_after_unmeasured_retirement(kernel):
+@ORACLES
+def test_slot_reused_after_unmeasured_retirement(oracle):
     # q0 is entangled with q1 and then never touched again (no measurement);
     # q2 takes over its slot after a reset that traces it out.
     circuit = QuantumCircuit(3, 2)
@@ -147,12 +156,12 @@ def test_slot_reused_after_unmeasured_retirement(kernel):
     schedule = live_width_schedule(circuit)
     assert schedule.width == 2
     assert sum(1 for source, _ in schedule.steps if source is None) == 1
-    (distribution,) = BatchedDensityMatrixSimulator(kernel=kernel).run_group([circuit])
-    _assert_matches_oracle(distribution, circuit, kernel)
+    (distribution,) = BatchedDensityMatrixSimulator().run_group([circuit])
+    _assert_matches_oracle(distribution, circuit, oracle)
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
-def test_terminal_measurement_overwrites_earlier_clbit(kernel):
+@ORACLES
+def test_terminal_measurement_overwrites_earlier_clbit(oracle):
     # Clbit 0 is written mid-circuit, steers a correction, then is
     # overwritten by the terminal suffix: branches differing only in the
     # old value merge.
@@ -161,6 +170,6 @@ def test_terminal_measurement_overwrites_earlier_clbit(kernel):
     circuit.measure(1, 0).measure(2, 1)
     schedule = live_width_schedule(circuit)
     assert [clbit for _, clbit in schedule.terminal] == [0, 1]
-    (distribution,) = BatchedDensityMatrixSimulator(kernel=kernel).run_group([circuit])
-    _assert_matches_oracle(distribution, circuit, kernel)
+    (distribution,) = BatchedDensityMatrixSimulator().run_group([circuit])
+    _assert_matches_oracle(distribution, circuit, oracle)
     assert np.isclose(sum(distribution.values()), 1.0)
