@@ -31,6 +31,26 @@ from repro.utils.linalg import is_statevector, is_unitary
 __all__ = ["QuantumCircuit"]
 
 
+def _instruction_extent(instructions: Iterable[Instruction]) -> tuple[int, int]:
+    """Return the smallest ``(num_qubits, num_clbits)`` registers that hold ``instructions``.
+
+    That is one more than the largest qubit index and one more than the
+    largest classical-bit index, counting the bits conditions read.
+    """
+    max_qubit = max_clbit = -1
+    for instruction in instructions:
+        for qubit in instruction.qubits:
+            if qubit > max_qubit:
+                max_qubit = qubit
+        for clbit in instruction.clbits:
+            if clbit > max_clbit:
+                max_clbit = clbit
+        condition = instruction.condition
+        if condition is not None and condition[0] > max_clbit:
+            max_clbit = condition[0]
+    return max_qubit + 1, max_clbit + 1
+
+
 class QuantumCircuit:
     """A quantum circuit over ``num_qubits`` qubits and ``num_clbits`` classical bits."""
 
@@ -93,6 +113,28 @@ class QuantumCircuit:
         if instruction.condition is not None:
             self._check_clbits([instruction.condition[0]])
         self._instructions.append(instruction)
+        return self
+
+    def extend(self, instructions: Sequence[Instruction]) -> "QuantumCircuit":
+        """Append a sequence of already-validated instructions with one bounds check.
+
+        Every instruction must have passed :meth:`append`'s checks on some
+        circuit: a slice of another circuit, a memoised cut gadget, or such
+        instructions remapped onto qubits they do not already touch.  Those
+        checks hold on any circuit whose registers cover the indices used, so
+        the registers are checked once against the sequence's largest qubit
+        and classical-bit index (condition bits included).
+        """
+        num_qubits, num_clbits = _instruction_extent(instructions)
+        if num_qubits > self.num_qubits:
+            raise CircuitError(
+                f"qubit index {num_qubits - 1} out of range (num_qubits={self.num_qubits})"
+            )
+        if num_clbits > self.num_clbits:
+            raise CircuitError(
+                f"clbit index {num_clbits - 1} out of range (num_clbits={self.num_clbits})"
+            )
+        self._instructions.extend(instructions)
         return self
 
     def gate(
@@ -313,9 +355,7 @@ class QuantumCircuit:
         target = self if inplace else self.copy()
         if qubits == list(range(other.num_qubits)) and clbits == list(range(other.num_clbits)):
             # Identity mapping: instructions are immutable, so share them.
-            for instruction in other._instructions:
-                target.append(instruction)
-            return target
+            return target.extend(other._instructions)
         qubit_map = {i: q for i, q in enumerate(qubits)}
         clbit_map = {i: c for i, c in enumerate(clbits)}
         for instruction in other._instructions:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.exceptions import CuttingError
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.instruction import Instruction
 from repro.qpd.decomposition import QuasiProbDecomposition
 from repro.qpd.terms import QPDTerm
 
@@ -107,6 +108,19 @@ class WireCutTerm(QPDTerm):
             )
         self.gadget_builder(circuit, wiring)
 
+    def gadget_instructions(
+        self, wiring: GadgetWiring, num_qubits: int, num_clbits: int
+    ) -> tuple[Instruction, ...]:
+        """Build the gadget on a scratch circuit of the given register sizes.
+
+        Returns the validated instructions, ready for
+        :meth:`~repro.circuits.circuit.QuantumCircuit.extend` onto any
+        circuit whose registers hold them.
+        """
+        scratch = QuantumCircuit(num_qubits, num_clbits, name="gadget")
+        self.build_gadget(scratch, wiring)
+        return tuple(scratch.instructions)
+
 
 class WireCutProtocol(ABC):
     """Base class of single-wire-cut protocols (a QPD of the one-qubit identity)."""
@@ -116,6 +130,7 @@ class WireCutProtocol(ABC):
 
     def __init__(self) -> None:
         self._terms: tuple[WireCutTerm, ...] | None = None
+        self._gadgets: dict[tuple[int, GadgetWiring, int, int], tuple[Instruction, ...]] = {}
 
     # -- abstract surface ---------------------------------------------------------
 
@@ -137,6 +152,28 @@ class WireCutProtocol(ABC):
             if not self._terms:
                 raise CuttingError(f"protocol {self.name!r} produced no terms")
         return self._terms
+
+    def gadget_instructions(
+        self, term_index: int, wiring: GadgetWiring, num_qubits: int, num_clbits: int
+    ) -> tuple[Instruction, ...]:
+        """Return term ``term_index``'s gadget instructions on ``wiring`` (memoised).
+
+        A gadget depends only on its term, its wiring and the register sizes
+        (builders append instructions and never read the circuit), so each
+        combination is built once (:meth:`WireCutTerm.gadget_instructions`)
+        and every later term circuit shares the validated instructions.  The
+        memo lives on this protocol instance and is keyed by term index, so
+        terms of other protocols are never confused with these even when
+        they compare equal.
+        """
+        key = (term_index, wiring, num_qubits, num_clbits)
+        instructions = self._gadgets.get(key)
+        if instructions is None:
+            term = self.terms[term_index]
+            instructions = self._gadgets[key] = term.gadget_instructions(
+                wiring, num_qubits, num_clbits
+            )
+        return instructions
 
     def decomposition(self) -> QuasiProbDecomposition:
         """Return the protocol as a :class:`QuasiProbDecomposition`."""

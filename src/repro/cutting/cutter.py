@@ -114,69 +114,57 @@ def build_cut_circuits(
 ) -> list[CutTermCircuit]:
     """Return one :class:`CutTermCircuit` per QPD term of ``protocol``.
 
-    The original circuit is left untouched.
+    The original circuit is left untouched.  The sender and receiver
+    fragments are shared by every term, and each term's gadget comes from the
+    protocol's memo (:meth:`~repro.cutting.base.WireCutProtocol.gadget_instructions`),
+    so only the per-term assembly runs once per term.
     """
     _validate_location(circuit, location)
-    term_circuits = []
-    for index, term in enumerate(protocol.terms):
-        term_circuits.append(_build_single_term(circuit, location, term, index, protocol.name))
-    return term_circuits
-
-
-def _build_single_term(
-    circuit: QuantumCircuit,
-    location: CutLocation,
-    term: WireCutTerm,
-    term_index: int,
-    protocol_name: str,
-) -> CutTermCircuit:
     num_original = circuit.num_qubits
     receiver_qubit = num_original
-    ancilla_qubits = tuple(range(num_original + 1, num_original + 1 + term.num_ancilla_qubits))
-    total_qubits = num_original + 1 + term.num_ancilla_qubits
     clbit_offset = circuit.num_clbits
-    total_clbits = clbit_offset + term.num_gadget_clbits
-
-    cut_circuit = QuantumCircuit(
-        total_qubits, total_clbits, name=f"{circuit.name}_{protocol_name}_term{term_index}"
-    )
-
-    # Sender fragment: instructions before the cut, unchanged.
-    for instruction in circuit.instructions[: location.position]:
-        cut_circuit.append(instruction)
-
-    # The cut gadget.
-    wiring = GadgetWiring(
-        sender_qubit=location.qubit,
-        receiver_qubit=receiver_qubit,
-        ancilla_qubits=ancilla_qubits,
-        clbit_offset=clbit_offset,
-    )
-    term.build_gadget(cut_circuit, wiring)
-
-    # Receiver fragment: remaining instructions with the cut qubit remapped.
+    sender_fragment = circuit.instructions[: location.position]
+    # Remapping onto the fresh receiver qubit cannot make an instruction touch
+    # one qubit twice, so the remapped fragment stays valid.
     qubit_remap = {location.qubit: receiver_qubit}
-    for instruction in circuit.instructions[location.position :]:
-        cut_circuit.append(instruction.remap(qubit_remap))
-
+    receiver_fragment = [
+        instruction.remap(qubit_remap) for instruction in circuit.instructions[location.position :]
+    ]
     qubit_map = {q: q for q in range(num_original)}
     qubit_map[location.qubit] = receiver_qubit
-    gadget_clbits = tuple(range(clbit_offset, clbit_offset + term.num_gadget_clbits))
-    sign_clbits = tuple(clbit_offset + relative for relative in term.sign_clbits)
 
-    sender_qubits = tuple(range(num_original)) + ancilla_qubits
-    receiver_qubits = (receiver_qubit,)
-
-    return CutTermCircuit(
-        circuit=cut_circuit,
-        term=term,
-        term_index=term_index,
-        qubit_map=qubit_map,
-        gadget_clbits=gadget_clbits,
-        sign_clbits=sign_clbits,
-        sender_qubits=sender_qubits,
-        receiver_qubits=receiver_qubits,
-    )
+    term_circuits = []
+    for term_index, term in enumerate(protocol.terms):
+        ancilla_qubits = tuple(range(num_original + 1, num_original + 1 + term.num_ancilla_qubits))
+        total_qubits = num_original + 1 + term.num_ancilla_qubits
+        total_clbits = clbit_offset + term.num_gadget_clbits
+        wiring = GadgetWiring(
+            sender_qubit=location.qubit,
+            receiver_qubit=receiver_qubit,
+            ancilla_qubits=ancilla_qubits,
+            clbit_offset=clbit_offset,
+        )
+        cut_circuit = QuantumCircuit(
+            total_qubits, total_clbits, name=f"{circuit.name}_{protocol.name}_term{term_index}"
+        )
+        cut_circuit.extend(sender_fragment)
+        cut_circuit.extend(
+            protocol.gadget_instructions(term_index, wiring, total_qubits, total_clbits)
+        )
+        cut_circuit.extend(receiver_fragment)
+        term_circuits.append(
+            CutTermCircuit(
+                circuit=cut_circuit,
+                term=term,
+                term_index=term_index,
+                qubit_map=dict(qubit_map),
+                gadget_clbits=tuple(range(clbit_offset, total_clbits)),
+                sign_clbits=tuple(clbit_offset + relative for relative in term.sign_clbits),
+                sender_qubits=tuple(range(num_original)) + ancilla_qubits,
+                receiver_qubits=(receiver_qubit,),
+            )
+        )
+    return term_circuits
 
 
 def cut_wire(

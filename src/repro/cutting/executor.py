@@ -67,7 +67,7 @@ from repro.qpd.adaptive import (
     RoundRecord,
     run_adaptive_rounds,
 )
-from repro.qpd.allocation import allocate_shots
+from repro.qpd.allocation import allocate_shot_grid, allocate_shots
 from repro.qpd.estimator import QPDEstimate, TermEstimate, combine_term_estimates, combine_term_means
 from repro.quantum.paulis import PauliString
 from repro.quantum.states import Statevector
@@ -611,9 +611,7 @@ class CutSamplingModel:
         rng = as_generator(seed)
         coefficients = np.array([t.coefficient for t in self.terms])
         p_plus = np.array([t.probability_plus for t in self.terms])
-        shots_matrix = np.stack(
-            [allocate_shots(self.probabilities, int(s), strategy=allocation, seed=rng) for s in shot_grid]
-        )
+        shots_matrix = allocate_shot_grid(self.probabilities, shot_grid, strategy=allocation, seed=rng)
         successes = rng.binomial(shots_matrix, p_plus)
         with np.errstate(divide="ignore", invalid="ignore"):
             means = np.where(
@@ -622,15 +620,20 @@ class CutSamplingModel:
         return combine_term_means(coefficients, means, shots_matrix)
 
     def expected_pairs(self, shots: int, allocation: str = "proportional") -> float:
-        """Expected number of entangled pairs consumed by a ``shots``-shot estimate."""
-        shots_per_term = allocate_shots(self.probabilities, shots, strategy=allocation)
-        return float(
-            sum(
-                int(n)
-                for model, n in zip(self.terms, shots_per_term)
-                if model.consumes_entangled_pair
-            )
-        )
+        """Expected number of entangled pairs consumed by a ``shots``-shot estimate.
+
+        The deterministic strategies count the pair-consuming terms' shots.
+        Under ``multinomial`` every shot draws its term independently, so the
+        expectation is ``shots · Σ p_i`` over the pair-consuming terms.
+        """
+        probabilities = self.probabilities
+        consumes = np.array([model.consumes_entangled_pair for model in self.terms])
+        if allocation == "multinomial":
+            if shots < 0:
+                raise ValueError(f"shots must be non-negative, got {shots}")
+            return float(shots * probabilities[consumes].sum())
+        shots_per_term = allocate_shots(probabilities, shots, strategy=allocation)
+        return float(shots_per_term[consumes].sum())
 
 
 def _probability_plus(distribution: dict[str, float], selected: list[int]) -> float:

@@ -39,8 +39,9 @@ linear in the number of fragments.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -139,7 +140,22 @@ def split_wire_cut_term(term: WireCutTerm) -> SplitGadget | None:
         The split gadget, or ``None`` when the gadget cannot be factored
         across the cut.
     """
-    scratch = QuantumCircuit(2 + term.num_ancilla_qubits, term.num_gadget_clbits, name="scratch")
+    return _split(term, term.gadget_instructions)
+
+
+def _protocol_splits(protocol: WireCutProtocol) -> tuple[SplitGadget | None, ...]:
+    """Split every term of ``protocol``, taking each gadget from the protocol's memo."""
+    return tuple(
+        _split(term, partial(protocol.gadget_instructions, index))
+        for index, term in enumerate(protocol.terms)
+    )
+
+
+def _split(
+    term: WireCutTerm,
+    gadget_instructions: Callable[[GadgetWiring, int, int], Sequence[Instruction]],
+) -> SplitGadget | None:
+    """Build ``term``'s gadget on the scratch wiring and classify its instructions."""
     wiring = GadgetWiring(
         sender_qubit=_SCRATCH_SENDER,
         receiver_qubit=_SCRATCH_RECEIVER,
@@ -147,7 +163,9 @@ def split_wire_cut_term(term: WireCutTerm) -> SplitGadget | None:
         clbit_offset=0,
     )
     try:
-        term.build_gadget(scratch, wiring)
+        instructions = gadget_instructions(
+            wiring, 2 + term.num_ancilla_qubits, term.num_gadget_clbits
+        )
     except CuttingError:
         return None
     sender_side = {_SCRATCH_SENDER} | set(wiring.ancilla_qubits)
@@ -155,7 +173,7 @@ def split_wire_cut_term(term: WireCutTerm) -> SplitGadget | None:
     receiver: list[Instruction] = []
     written: set[int] = set()
     message: set[int] = set()
-    for instruction in scratch.instructions:
+    for instruction in instructions:
         if instruction.kind == "barrier":
             continue
         touched = set(instruction.qubits)
@@ -238,8 +256,8 @@ def instance_support_reason(
         if qubits_by_position.get(position, set()) != crossing:
             return f"slice at position {position} does not cut every crossing wire"
     for protocol in protocols:
-        for term in protocol.terms:
-            if split_wire_cut_term(term) is None:
+        for term, split in zip(protocol.terms, _protocol_splits(protocol)):
+            if split is None:
                 return (
                     f"protocol {protocol.name!r} term {term.label!r} has a gadget "
                     "spanning both sides of the cut"
@@ -431,7 +449,7 @@ class InstanceTable:
         self.protocols = tuple(protocols)
         self.pauli = _as_pauli(observable, circuit.num_qubits)
         self._splits: tuple[tuple[SplitGadget, ...], ...] = tuple(
-            tuple(split_wire_cut_term(term) for term in protocol.terms)  # type: ignore[misc]
+            _protocol_splits(protocol)  # type: ignore[misc]
             for protocol in self.protocols
         )
         # Monolithic coefficient products multiply in descending-position

@@ -166,7 +166,8 @@ def build_multi_cut_circuits(
         for cut_rank in order:
             location = locations[cut_rank]
             protocol = protocols[cut_rank]
-            term = protocol.terms[term_choice[cut_rank]]
+            term_index = term_choice[cut_rank]
+            term = protocol.terms[term_index]
 
             # Instructions before this cut are never remapped (later cuts only
             # remap instructions after their own, later, position), so the wire
@@ -178,23 +179,25 @@ def build_multi_cut_circuits(
                 range(current.num_qubits + 1, current.num_qubits + 1 + term.num_ancilla_qubits)
             )
             clbit_offset = current.num_clbits
-            new_circuit = QuantumCircuit(
-                current.num_qubits + 1 + term.num_ancilla_qubits,
-                current.num_clbits + term.num_gadget_clbits,
-                name=f"{circuit.name}_multicut",
-            )
-            for instruction in current.instructions[: location.position]:
-                new_circuit.append(instruction)
+            num_qubits = current.num_qubits + 1 + term.num_ancilla_qubits
+            num_clbits = current.num_clbits + term.num_gadget_clbits
+            new_circuit = QuantumCircuit(num_qubits, num_clbits, name=f"{circuit.name}_multicut")
+            new_circuit.extend(current.instructions[: location.position])
             wiring = GadgetWiring(
                 sender_qubit=sender_qubit,
                 receiver_qubit=receiver_qubit,
                 ancilla_qubits=ancillas,
                 clbit_offset=clbit_offset,
             )
-            term.build_gadget(new_circuit, wiring)
+            new_circuit.extend(
+                protocol.gadget_instructions(term_index, wiring, num_qubits, num_clbits)
+            )
+            # The receiver qubit is fresh, so remapping onto it cannot make an
+            # instruction touch one qubit twice.
             remap = {sender_qubit: receiver_qubit}
-            for instruction in current.instructions[location.position :]:
-                new_circuit.append(instruction.remap(remap))
+            new_circuit.extend(
+                [instruction.remap(remap) for instruction in current.instructions[location.position :]]
+            )
 
             coefficient *= term.coefficient
             sign_clbits.extend(clbit_offset + rel for rel in term.sign_clbits)

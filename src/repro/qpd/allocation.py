@@ -25,6 +25,7 @@ early rounds before any variance has been observed).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "allocate_shots",
+    "allocate_shot_grid",
     "ALLOCATION_STRATEGIES",
     "ShotPlanner",
     "ProportionalPlanner",
@@ -48,15 +50,20 @@ ALLOCATION_STRATEGIES = ("proportional", "multinomial", "uniform")
 PLANNER_NAMES = ("proportional", "neyman")
 
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Round ``total * weights`` to integers that sum exactly to ``total``."""
-    ideal = weights * total
+def _largest_remainder(weights: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Round each ``totals[r] * weights`` to integers that sum exactly to ``totals[r]``.
+
+    Returns a ``(len(totals), len(weights))`` matrix.  Each row's leftover
+    shots go to the entries with the largest fractional parts, in the order
+    a per-row :func:`numpy.argsort` gives.
+    """
+    ideal = totals[:, np.newaxis] * weights
     floor = np.floor(ideal).astype(int)
-    remainder = total - int(floor.sum())
-    if remainder > 0:
-        order = np.argsort(-(ideal - floor))
-        floor[order[:remainder]] += 1
-    return floor
+    remainder = totals - floor.sum(axis=1)
+    order = np.argsort(-(ideal - floor), axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(weights.shape[0]), axis=1)
+    return floor + (rank < remainder[:, np.newaxis])
 
 
 def allocate_shots(
@@ -78,6 +85,38 @@ def allocate_shots(
     seed:
         Used only by the ``multinomial`` strategy.
     """
+    return allocate_shot_grid(probabilities, (shots,), strategy=strategy, seed=seed)[0]
+
+
+def allocate_shot_grid(
+    probabilities: np.ndarray,
+    shot_grid: Sequence[int],
+    strategy: str = "proportional",
+    seed: SeedLike = None,
+) -> np.ndarray:
+    """Return the shots per QPD term for every budget of ``shot_grid`` at once.
+
+    Row ``r`` equals ``allocate_shots(probabilities, shot_grid[r], strategy,
+    seed)`` bitwise.  The deterministic strategies round the whole grid in
+    one vectorised pass; ``multinomial`` draws one allocation per non-zero
+    budget, in grid order, from the same generator.
+
+    Parameters
+    ----------
+    probabilities:
+        The normalised sampling distribution ``p_i = |c_i|/κ``.
+    shot_grid:
+        Total shot budgets, one per row of the result.
+    strategy:
+        One of :data:`ALLOCATION_STRATEGIES`.
+    seed:
+        Used only by the ``multinomial`` strategy.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer matrix of shape ``(len(shot_grid), len(probabilities))``.
+    """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1 or probabilities.size == 0:
         raise DecompositionError("probabilities must be a non-empty 1-D array")
@@ -87,19 +126,23 @@ def allocate_shots(
     if total <= 0:
         raise DecompositionError("probabilities must have positive total weight")
     probabilities = probabilities / total
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
-    if shots == 0:
-        return np.zeros(probabilities.shape[0], dtype=int)
+    totals = np.array([int(shots) for shots in shot_grid], dtype=int)
+    for shots in totals:
+        if shots < 0:
+            raise ValueError(f"shots must be non-negative, got {shots}")
 
     if strategy == "proportional":
-        return _largest_remainder(probabilities, shots)
+        return _largest_remainder(probabilities, totals)
     if strategy == "multinomial":
         rng = as_generator(seed)
-        return rng.multinomial(shots, probabilities)
+        matrix = np.zeros((totals.shape[0], probabilities.shape[0]), dtype=int)
+        for row, shots in zip(matrix, totals):
+            if shots > 0:
+                row[:] = rng.multinomial(shots, probabilities)
+        return matrix
     if strategy == "uniform":
         uniform = np.full(probabilities.shape[0], 1.0 / probabilities.shape[0])
-        return _largest_remainder(uniform, shots)
+        return _largest_remainder(uniform, totals)
     raise DecompositionError(
         f"unknown allocation strategy {strategy!r}; expected one of {ALLOCATION_STRATEGIES}"
     )

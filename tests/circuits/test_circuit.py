@@ -164,6 +164,43 @@ class TestComposition:
         with pytest.raises(CircuitError):
             QuantumCircuit(3).compose(inner, qubits=[0])
 
+    def test_compose_too_wide_raises(self):
+        inner = QuantumCircuit(3)
+        inner.cx(0, 2)
+        with pytest.raises(CircuitError, match="qubit index 2"):
+            QuantumCircuit(2).compose(inner)
+
+    def test_compose_too_many_clbits_raises(self):
+        inner = QuantumCircuit(1, 2)
+        inner.measure(0, 1)
+        with pytest.raises(CircuitError, match="clbit index 1"):
+            QuantumCircuit(1, 1).compose(inner)
+
+    def test_compose_condition_clbit_out_of_range_raises(self):
+        inner = QuantumCircuit(1, 3)
+        inner.x(0, condition=(2, 1))
+        with pytest.raises(CircuitError, match="clbit index 2"):
+            QuantumCircuit(1, 2).compose(inner)
+
+    def test_compose_wider_circuit_whose_instructions_fit(self):
+        # Only the indices the instructions use are checked, not the register
+        # sizes of the composed circuit.
+        inner = QuantumCircuit(3, 2)
+        inner.h(0)
+        outer = QuantumCircuit(1).compose(inner)
+        assert outer.count_ops() == {"h": 1}
+
+    def test_extend_checks_once_and_shares_instructions(self):
+        source = QuantumCircuit(2, 1)
+        source.h(0).cx(0, 1).measure(1, 0)
+        target = QuantumCircuit(3, 1)
+        assert target.extend(source.instructions) is target
+        assert all(a is b for a, b in zip(target.instructions, source.instructions))
+        with pytest.raises(CircuitError):
+            QuantumCircuit(1, 1).extend(source.instructions)
+        with pytest.raises(CircuitError):
+            QuantumCircuit(2, 0).extend(source.instructions)
+
     def test_copy_is_independent(self):
         circuit = QuantumCircuit(1)
         circuit.x(0)

@@ -102,6 +102,22 @@ class TestSamplingModel:
         model_harada = build_sampling_model(circuit, CutLocation(0, 1), HaradaWireCut(), "Z")
         assert model_harada.expected_pairs(100) == 0.0
 
+    def test_expected_pairs_under_multinomial_is_the_exact_expectation(self):
+        circuit, _ = _state_circuit(2)
+        protocol = NMEWireCut(0.4)
+        model = build_sampling_model(circuit, CutLocation(0, 1), protocol, "Z")
+        first = model.expected_pairs(1000, allocation="multinomial")
+        assert model.expected_pairs(1000, allocation="multinomial") == first
+        pair_share = sum(
+            abs(term.coefficient) for term in protocol.terms if term.consumes_entangled_pair
+        ) / protocol.kappa
+        assert first == pytest.approx(1000 * pair_share, rel=1e-12)
+        assert model.expected_pairs(0, allocation="multinomial") == 0.0
+        # The deterministic strategies still count the allocated shots:
+        # largest remainder gives the two pair-consuming terms 433 each.
+        assert model.expected_pairs(1000) == 866.0
+        assert model.expected_pairs(1001, "uniform") == 668.0
+
     def test_zero_shot_estimate(self):
         circuit, _ = _state_circuit(1)
         model = build_sampling_model(circuit, CutLocation(0, 1), HaradaWireCut(), "Z")

@@ -12,9 +12,47 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qpd.allocation import allocate_shots
+from repro.qpd.allocation import allocate_shot_grid, allocate_shots
 
 SETTINGS = settings(max_examples=120, deadline=None)
+
+
+def weights_with_zeros():
+    """Tied weight vectors that may contain zero-weight terms (never all zero).
+
+    Up to 40 entries: above 16, NumPy's argsort leaves insertion sort, so
+    the order of tied remainders depends on the sort actually used.
+    """
+    return (
+        st.lists(st.sampled_from([0.0, 0.125, 0.25, 1.0, 2.0]), min_size=1, max_size=40)
+        .filter(lambda values: any(values))
+        .map(np.array)
+    )
+
+
+def shot_grids():
+    """Grids mixing 0, 1, budgets below the number of terms and large budgets."""
+    return st.lists(
+        st.one_of(st.sampled_from([0, 1, 2, 3, 5, 7, 11]), st.integers(0, 50_000)),
+        min_size=0,
+        max_size=12,
+    )
+
+
+def scalar_largest_remainder(weights, shots, strategy):
+    """The one-budget rounding the grid pass replaced, kept as its oracle."""
+    probabilities = weights / weights.sum()
+    if strategy == "uniform":
+        probabilities = np.full(weights.size, 1.0 / weights.size)
+    if shots == 0:
+        return np.zeros(weights.size, dtype=int)
+    ideal = probabilities * shots
+    floor = np.floor(ideal).astype(int)
+    remainder = shots - int(floor.sum())
+    if remainder > 0:
+        order = np.argsort(-(ideal - floor))
+        floor[order[:remainder]] += 1
+    return floor
 
 
 def tied_weight_arrays():
@@ -70,3 +108,36 @@ class TestLargestRemainderProperties:
         allocation = allocate_shots(np.ones(size), shots, strategy="proportional")
         assert int(allocation.sum()) == shots
         assert allocation.max() - allocation.min() <= 1
+
+
+class TestShotGridProperties:
+    @SETTINGS
+    @given(
+        weights=weights_with_zeros(),
+        grid=shot_grids(),
+        strategy=st.sampled_from(["proportional", "uniform"]),
+    )
+    def test_grid_equals_stacked_per_budget_allocations(self, weights, grid, strategy):
+        matrix = allocate_shot_grid(weights, grid, strategy=strategy)
+        assert matrix.shape == (len(grid), weights.size)
+        assert matrix.dtype == allocate_shots(weights, 1, strategy=strategy).dtype
+        for row, shots in zip(matrix, grid):
+            assert np.array_equal(row, allocate_shots(weights, shots, strategy=strategy))
+            assert np.array_equal(row, scalar_largest_remainder(weights, shots, strategy))
+
+    @SETTINGS
+    @given(weights=weights_with_zeros(), grid=shot_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_multinomial_grid_draws_per_budget_in_order(self, weights, grid, seed):
+        matrix = allocate_shot_grid(weights, grid, strategy="multinomial", seed=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        expected = [allocate_shots(weights, shots, strategy="multinomial", seed=rng) for shots in grid]
+        assert matrix.shape == (len(grid), weights.size)
+        for row, want in zip(matrix, expected):
+            assert np.array_equal(row, want)
+
+    @SETTINGS
+    @given(weights=weights_with_zeros(), grid=shot_grids())
+    def test_zero_weight_terms_get_no_proportional_shots(self, weights, grid):
+        matrix = allocate_shot_grid(weights, grid, strategy="proportional")
+        assert np.all(matrix[:, weights == 0.0] == 0)
+        assert np.array_equal(matrix.sum(axis=1), np.array(grid, dtype=int))
