@@ -61,7 +61,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.statevector_simulator import StatevectorSimulator
-from repro.cutting import measured_multi_cut_circuit
+from repro.cutting.executor import _measured_batch
 from repro.distributed import WorkUnit, execute_unit
 from repro.experiments import ghz_circuit
 from repro.pipeline import CutPipeline
@@ -138,7 +138,7 @@ def nme_term_batch() -> list[QuantumCircuit]:
     pipeline = CutPipeline(max_fragment_width=2, entanglement_overlap=0.9)
     decomposition = pipeline.decompose(pipeline.plan(ghz_circuit(4)))
     pauli = PauliString("ZZZZ")
-    return [measured_multi_cut_circuit(term, pauli)[0] for term in decomposition.term_circuits]
+    return _measured_batch(decomposition.term_circuits, pauli)[0]
 
 
 def _configuration(full: bool) -> dict:

@@ -8,7 +8,7 @@ average parities over counts).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "exact_expectation",
     "sampled_pauli_expectation",
     "measurement_basis_change",
+    "measured_pauli_circuit",
 ]
 
 _BASIS_CHANGE: dict[str, list[tuple[str, tuple[float, ...]]]] = {
@@ -34,6 +35,37 @@ _BASIS_CHANGE: dict[str, list[tuple[str, tuple[float, ...]]]] = {
     "X": [("h", ())],
     "Y": [("sdg", ()), ("h", ())],
 }
+
+
+def measured_pauli_circuit(
+    circuit: QuantumCircuit, targets: Iterable[tuple[int, str]]
+) -> tuple[QuantumCircuit, list[int]]:
+    """Append Pauli basis changes and measurements to a copy of ``circuit``.
+
+    Every ``(qubit, label)`` target whose label is not ``I`` is rotated from
+    its Pauli eigenbasis onto Z and measured into a new classical bit placed
+    after ``circuit``'s own bits, in target order.  The parity of those bits
+    is the sampled eigenvalue of the Pauli product.
+
+    Returns
+    -------
+    tuple[QuantumCircuit, list[int]]
+        The measured circuit (named ``<name>_meas``) and the new classical
+        bits.
+    """
+    active = [(qubit, label) for qubit, label in targets if label != "I"]
+    measured = QuantumCircuit(
+        circuit.num_qubits, circuit.num_clbits + len(active), name=f"{circuit.name}_meas"
+    )
+    measured.compose(circuit, inplace=True)
+    clbits = []
+    for offset, (qubit, label) in enumerate(active):
+        for gate_name, params in _BASIS_CHANGE[label]:
+            measured.gate(gate_name, qubit, params)
+        clbit = circuit.num_clbits + offset
+        measured.measure(qubit, clbit)
+        clbits.append(clbit)
+    return measured, clbits
 
 
 def exact_expectation(
@@ -92,21 +124,9 @@ def sampled_pauli_expectation(
         raise SimulationError(
             f"{len(pauli_labels)} Pauli labels given for {len(qubits)} qubits"
         )
-    active = [(q, p) for q, p in zip(qubits, pauli_labels) if p != "I"]
-    if not active:
+    if all(label == "I" for label in pauli_labels):
         return 1.0
-    # New classical bits for the observable measurement sit after existing ones.
-    clbit_offset = circuit.num_clbits
-    num_clbits = clbit_offset + len(active)
-    measured = QuantumCircuit(circuit.num_qubits, num_clbits, name=f"{circuit.name}_meas")
-    measured.compose(circuit, inplace=True)
-    observable_clbits = []
-    for position, (qubit, pauli) in enumerate(active):
-        for gate_name, params in _BASIS_CHANGE[pauli]:
-            measured.gate(gate_name, qubit, params)
-        clbit = clbit_offset + position
-        measured.measure(qubit, clbit)
-        observable_clbits.append(clbit)
+    measured, observable_clbits = measured_pauli_circuit(circuit, zip(qubits, pauli_labels))
     counts: Counts = ShotSimulator(method=method).run(
         measured, shots=shots, seed=seed, initial_state=initial_state
     )

@@ -7,15 +7,18 @@ baselines are :class:`HaradaWireCut` (optimal entanglement-free cut, κ=3),
 
 Cut *planning* (:func:`plan_cuts` / :func:`find_time_slice_cuts`) and the
 multi-wire tensor-product builder (:mod:`repro.cutting.multi_wire`) are the
-stages :class:`repro.pipeline.CutPipeline` composes; the single-cut
-executor (:mod:`repro.cutting.executor`) remains the fast path for the
-paper's one-wire workloads.
+stages :class:`repro.pipeline.CutPipeline` composes.  Every estimator spends
+its shots through one term executor (:func:`execute_terms`) over one of two
+round sources: :class:`BackendRoundExecutor` (simulated term circuits) or
+:class:`BinomialRoundSource` (exact per-term ``p₊`` values).
 """
 
 from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
 from repro.cutting.cutter import CutLocation, CutTermCircuit, build_cut_circuits, cut_wire
 from repro.cutting.executor import (
     ESTIMATION_MODES,
+    BackendRoundExecutor,
+    BinomialRoundSource,
     CutExpectationResult,
     CutSamplingModel,
     TermSamplingModel,
@@ -24,6 +27,7 @@ from repro.cutting.executor import (
     cut_expectation_value,
     estimate_cut_expectation,
     exact_cut_expectation,
+    execute_terms,
     sampling_models_from_instances,
 )
 from repro.cutting.instances import (
@@ -32,8 +36,6 @@ from repro.cutting.instances import (
     InstanceTable,
     SplitGadget,
     build_instance_table,
-    execute_instances,
-    execute_instances_adaptive,
     instance_support_reason,
     split_wire_cut_term,
     supports_instance_dedup,
@@ -50,10 +52,7 @@ from repro.cutting.multi_wire import (
     MultiCutTermCircuit,
     build_multi_cut_circuits,
     estimate_multi_cut_expectation,
-    execute_term_circuits,
-    execute_term_circuits_adaptive,
     independent_cuts_decomposition,
-    measured_multi_cut_circuit,
 )
 from repro.cutting.nme_cut import NMEWireCut, nme_coefficients
 from repro.cutting.noise import (
@@ -112,6 +111,9 @@ __all__ = [
     "cut_wire",
     "CutExpectationResult",
     "ESTIMATION_MODES",
+    "execute_terms",
+    "BackendRoundExecutor",
+    "BinomialRoundSource",
     "estimate_cut_expectation",
     "cut_expectation_value",
     "exact_cut_expectation",
@@ -145,10 +147,7 @@ __all__ = [
     "MultiCutTermCircuit",
     "build_multi_cut_circuits",
     "estimate_multi_cut_expectation",
-    "execute_term_circuits",
-    "execute_term_circuits_adaptive",
     "independent_cuts_decomposition",
-    "measured_multi_cut_circuit",
     # instance dedup
     "SplitGadget",
     "split_wire_cut_term",
@@ -158,8 +157,6 @@ __all__ = [
     "InstanceStats",
     "InstanceTable",
     "build_instance_table",
-    "execute_instances",
-    "execute_instances_adaptive",
     "sampling_models_from_instances",
     # virtual distillation (Appendix B construction)
     "virtual_bell_decomposition",

@@ -350,6 +350,112 @@ def plan_from_locations(
 _DEFAULT_MAX_SLICES = 6
 
 
+def _free_slice_count(circuit: QuantumCircuit, usage: dict[int, tuple[int, int]]) -> int:
+    """Count the positions where the circuit factorises (no wire crosses).
+
+    Such *free* slices split fragments without a cut, so a plan with ``m``
+    slices has at least ``m − free_count`` cuts; that bounds the useful
+    search depth under ``max_cuts`` and powers :func:`plan_cuts`' early
+    termination.
+    """
+    return sum(
+        1
+        for position in range(1, len(circuit))
+        if not any(first < position <= last for first, last in usage.values())
+    )
+
+
+def _search_depth(
+    num_instructions: int,
+    free_count: int,
+    max_cuts: int | None,
+    max_fragments: int | None,
+) -> tuple[int, str]:
+    """Return :func:`plan_cuts`' slice-depth limit and the bound that sets it.
+
+    The bound is named ``"max_cuts"``, ``"max_fragments"``, ``"default"``
+    (``_DEFAULT_MAX_SLICES``) or ``"length"`` (one slice between every pair of
+    instructions); on a tie the first of these wins.
+    """
+    bounds = []
+    if max_cuts is not None:
+        bounds.append((max_cuts + free_count, "max_cuts"))
+    if max_fragments is not None:
+        bounds.append((max_fragments - 1, "max_fragments"))
+    else:
+        bounds.append((_DEFAULT_MAX_SLICES, "default"))
+    bounds.append((num_instructions - 1, "length"))
+    return min(bounds, key=lambda bound: bound[0])
+
+
+def _no_plan_reason(
+    circuit: QuantumCircuit,
+    max_fragment_width: int,
+    max_cuts: int | None = None,
+    max_fragments: int | None = None,
+) -> str:
+    """Explain why :func:`plan_cuts` found no plan, naming the bound to raise.
+
+    Parameters
+    ----------
+    circuit, max_fragment_width, max_cuts, max_fragments:
+        The arguments the failed :func:`plan_cuts` call received.
+
+    Returns
+    -------
+    str
+        The binding constraint: an instruction wider than the device, a
+        search-depth bound (``max_cuts``, ``max_fragments`` or the default
+        depth of ``_DEFAULT_MAX_SLICES`` slices) below the number of slices
+        such narrow fragments need, or ``max_cuts`` below the cuts of every
+        plan the search finds without it.
+    """
+    for index, instruction in enumerate(circuit.instructions):
+        if len(instruction.qubits) > max_fragment_width:
+            return (
+                f"instruction {index} ({instruction.name}) acts on "
+                f"{len(instruction.qubits)} qubits, more than any fragment can hold"
+            )
+    # Greedy maximal fragments minimise the fragment count under the
+    # touched-width bound, a lower bound on every fragment's real width.
+    needed = 0
+    touched: set[int] = set()
+    for instruction in circuit.instructions:
+        if len(touched | set(instruction.qubits)) > max_fragment_width:
+            needed += 1
+            touched = set()
+        touched.update(instruction.qubits)
+    free_count = _free_slice_count(circuit, _wire_usage(circuit))
+    depth, bound = _search_depth(len(circuit), free_count, max_cuts, max_fragments)
+    if needed > depth:
+        limit = f"{depth} slice{'s' if depth != 1 else ''}"
+        fix = {
+            "max_cuts": f"max_cuts={max_cuts} limits the search to {limit}; raise max_cuts",
+            "max_fragments": (
+                f"max_fragments={max_fragments} limits the search to {limit}; "
+                f"raise max_fragments to at least {needed + 1}"
+            ),
+            "default": (
+                f"the search stops at the default depth of {limit} "
+                f"(_DEFAULT_MAX_SLICES); pass max_fragments={needed + 1} or more "
+                "to search deeper"
+            ),
+        }[bound]
+        return f"such fragments need at least {needed} slices, but {fix}"
+    if max_cuts is not None:
+        uncapped = plan_cuts(circuit, max_fragment_width, max_fragments=max_fragments)
+        if uncapped:
+            fewest = min(plan.num_cuts for plan in uncapped)
+            return (
+                f"the fewest cuts any plan needs is {fewest}, above max_cuts={max_cuts}; "
+                f"raise max_cuts to at least {fewest}"
+            )
+    return (
+        f"no slicing into at most {depth + 1} fragments fits, counting through "
+        "wires and cut receivers toward each fragment's width"
+    )
+
+
 def _feasible_position_tuples(circuit, num_slices, max_fragment_width):
     """Yield slice tuples whose every fragment's touched-width fits the device.
 
@@ -440,12 +546,6 @@ def plan_cuts(
     # before enumerating any candidate.
     if any(len(ins.qubits) > max_fragment_width for ins in circuit.instructions):
         return []
-    max_slices = num_instructions - 1
-    if max_fragments is not None:
-        max_slices = min(max_slices, max_fragments - 1)
-    else:
-        max_slices = min(max_slices, _DEFAULT_MAX_SLICES)
-
     usage = _wire_usage(circuit)
     per_cut_kappa = _per_cut_kappa(entanglement_overlap)
     valid: list[MultiCutPlan] = []
@@ -460,17 +560,8 @@ def plan_cuts(
                 sampling_overhead=1.0,
             )
         )
-    # Positions where the circuit factorises (no wire crosses) are *free*
-    # slices: they split fragments without a cut.  A plan with m slices
-    # therefore has at least m - free_count cuts, which both bounds the
-    # useful search depth under max_cuts and powers the early termination.
-    free_count = sum(
-        1
-        for position in range(1, num_instructions)
-        if not any(first < position <= last for first, last in usage.values())
-    )
-    if max_cuts is not None:
-        max_slices = min(max_slices, max_cuts + free_count)
+    free_count = _free_slice_count(circuit, usage)
+    max_slices, _ = _search_depth(num_instructions, free_count, max_cuts, max_fragments)
 
     best_cuts: int | None = None
     for num_slices in range(1, max_slices + 1):

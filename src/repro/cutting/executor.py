@@ -1,13 +1,10 @@
-"""Executing a single cut: sampling the QPD terms and recombining expectation values.
+"""Executing wire cuts: sampling the QPD terms and recombining expectation values.
 
-This is the single-cut runtime that turns a
-:class:`~repro.cutting.base.WireCutProtocol` plus a circuit into an
-expectation-value estimate, following the procedure of Section IV of the
-paper.  It is the one-cut special case of the general machinery: multi-cut
-estimation (tensor-product term sets, several fragments) lives in
-:mod:`repro.cutting.multi_wire` and is orchestrated by
-:class:`repro.pipeline.CutPipeline`; the fast sweep path below
-(:class:`CutSamplingModel`) remains the engine of the Figure-6 harness.
+This module holds the estimator of Section IV of the paper (Eq. 12) and the
+single-cut entry points built on it.  Multi-cut term sets (several fragments,
+tensor-product term sets) come from :mod:`repro.cutting.multi_wire` and are
+orchestrated by :class:`repro.pipeline.CutPipeline`; both run through the same
+executor.
 
 The procedure per estimate:
 
@@ -15,41 +12,35 @@ The procedure per estimate:
 2. split the total shot budget across the terms proportionally to the
    coefficient magnitudes (other allocation strategies are available for the
    ablation benchmarks),
-3. run each term circuit on the shot simulator, measuring the observable on
-   the receiver side (plus any term-internal sign bits),
+3. draw each term's ±1 outcomes (observable parity × term-internal sign bits),
 4. recombine the per-term means with the signed coefficients (Eq. 12).
 
-Two execution paths are provided:
+:func:`execute_terms` is the one implementation of steps 2–4.  It spends the
+budget either up front (``mode="static"``, the paper's procedure) or in
+rounds that stop at a target standard error (``mode="adaptive"``, the engine
+of :mod:`repro.qpd.adaptive`).  Where the outcomes come from is a *round
+source* — a callable ``(round_index, shots_per_term, seed) → means``:
 
-* :func:`estimate_cut_expectation` — the general path; every call samples the
-  term circuits afresh through a
-  :class:`~repro.circuits.backends.SimulatorBackend` (``backend=`` selects
-  serial, vectorized or process-pool execution).
-* :class:`CutSamplingModel` (via :func:`build_sampling_model`, or
-  :func:`build_sampling_models` for whole workloads at once) — a fast path
-  for parameter sweeps: the exact per-term outcome distributions are computed
-  once and each subsequent estimate only needs binomial draws.  This is what
-  the Figure-6 harness uses to evaluate 1000 input states × 6 entanglement
-  levels × many shot budgets in seconds; it is statistically identical to the
-  general path because each shot is an i.i.d. draw from the same exact
-  distribution.
+* :class:`BackendRoundExecutor` runs measured term circuits through a
+  :class:`~repro.circuits.backends.SimulatorBackend` (serial, vectorized,
+  process-pool or a device fleet) and can fan rounds out over the
+  multi-process pool of :mod:`repro.distributed`;
+* :class:`BinomialRoundSource` draws binomials over exact per-term ``p₊``
+  values.  Every shot is an i.i.d. draw from the same exact distribution, so
+  it is statistically identical to re-running the simulator.  It serves
+  :class:`CutSamplingModel` (built once per circuit by
+  :func:`build_sampling_model` / :func:`build_sampling_models`) and the
+  instance-dedup path, whose ``p₊`` values come from
+  :func:`sampling_models_from_instances`.
 
-Multi-cut plans get the same exact-distribution fast path through the
-instance-dedup layer (:mod:`repro.cutting.instances`): the unique
-(fragment, basis-config) subcircuit instances are simulated once, each
-product term's ``p₊`` is chained from the shared fragment tensors, and
-:func:`sampling_models_from_instances` bridges an evaluated table into the
-:class:`TermSamplingModel` machinery below.
-
-Both paths offer two execution modes: ``static`` (the whole budget
-allocated up front — the paper's procedure, unchanged bitwise) and
-``adaptive`` (the round-structured engine of :mod:`repro.qpd.adaptive`,
-stopping at a target standard error).
+:meth:`CutSamplingModel.estimate_sweep` stays a separate, vectorised draw over
+a whole shot grid: it is what lets the Figure-6 harness evaluate 1000 input
+states × 6 entanglement levels × many shot budgets in seconds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +48,20 @@ import numpy as np
 from repro.exceptions import CuttingError
 from repro.circuits.backends import SimulatorBackend, resolve_backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import _BASIS_CHANGE, exact_expectation
+from repro.circuits.expectation import exact_expectation, measured_pauli_circuit
 from repro.cutting.base import WireCutProtocol
 from repro.cutting.cutter import CutLocation, CutTermCircuit, build_cut_circuits
 from repro.qpd.adaptive import (
     DEFAULT_MAX_ROUNDS,
+    EXECUTION_MODES,
     AdaptiveConfig,
     AdaptiveResult,
+    RoundExecutor,
     RoundRecord,
     run_adaptive_rounds,
 )
 from repro.qpd.allocation import allocate_shot_grid, allocate_shots
-from repro.qpd.estimator import QPDEstimate, TermEstimate, combine_term_estimates, combine_term_means
+from repro.qpd.estimator import TermEstimate, combine_term_estimates, combine_term_means
 from repro.quantum.paulis import PauliString
 from repro.quantum.states import Statevector
 from repro.utils.rng import SeedLike, as_generator
@@ -78,9 +71,11 @@ ESTIMATION_MODES = ("static", "adaptive")
 
 __all__ = [
     "BackendRoundExecutor",
+    "BinomialRoundSource",
     "CutExpectationResult",
     "ESTIMATION_MODES",
     "estimate_cut_expectation",
+    "execute_terms",
     "build_sampling_model",
     "build_sampling_models",
     "CutSamplingModel",
@@ -143,33 +138,6 @@ class CutExpectationResult:
             return None
         return abs(self.value - self.exact_value)
 
-    @classmethod
-    def from_adaptive(
-        cls,
-        adaptive: AdaptiveResult,
-        protocol_name: str,
-        exact_value: float | None,
-    ) -> "CutExpectationResult":
-        """Freeze an engine result into the shared result type.
-
-        The single mapping used by every adaptive entry point (general
-        executor, sampling-model fast path, multi-cut estimator).
-        """
-        estimate = adaptive.estimate
-        return cls(
-            value=estimate.value,
-            standard_error=estimate.standard_error,
-            total_shots=estimate.total_shots,
-            kappa=estimate.kappa,
-            shots_per_term=tuple(t.shots for t in estimate.term_estimates),
-            term_estimates=estimate.term_estimates,
-            protocol_name=protocol_name,
-            exact_value=exact_value,
-            mode="adaptive",
-            converged=adaptive.converged,
-            rounds=adaptive.rounds,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Observables
@@ -195,89 +163,87 @@ def _as_pauli(observable: str | PauliString, num_qubits: int) -> PauliString:
 
 
 def _measured_term_circuit(
-    term_circuit: CutTermCircuit, pauli: PauliString
+    term_circuit, pauli: PauliString
 ) -> tuple[QuantumCircuit, tuple[int, ...]]:
     """Append observable basis changes and measurements to a term circuit.
 
+    ``term_circuit`` is a single-cut :class:`~repro.cutting.cutter.CutTermCircuit`
+    or a :class:`~repro.cutting.multi_wire.MultiCutTermCircuit`; the
+    observable's logical qubits are routed through its ``qubit_map``.
     Returns the measured circuit and the classical bits holding the
     observable outcomes.
     """
-    base = term_circuit.circuit
-    active = [
-        (term_circuit.qubit_map[logical], label)
-        for logical, label in enumerate(pauli.labels)
-        if label != "I"
+    targets = [
+        (term_circuit.qubit_map[logical], label) for logical, label in enumerate(pauli.labels)
     ]
-    measured = QuantumCircuit(
-        base.num_qubits, base.num_clbits + len(active), name=f"{base.name}_meas"
-    )
-    measured.compose(base, inplace=True)
-    observable_clbits = []
-    for offset, (physical_qubit, label) in enumerate(active):
-        for gate_name, params in _BASIS_CHANGE[label]:
-            measured.gate(gate_name, physical_qubit, params)
-        clbit = base.num_clbits + offset
-        measured.measure(physical_qubit, clbit)
-        observable_clbits.append(clbit)
+    measured, observable_clbits = measured_pauli_circuit(term_circuit.circuit, targets)
     return measured, tuple(observable_clbits)
 
 
+def _measured_batch(
+    term_circuits: Sequence, pauli: PauliString
+) -> tuple[list[QuantumCircuit], list[list[int]]]:
+    """Measure every term circuit of a term set in the observable's basis.
+
+    Returns the measured circuits and, per term, the classical bits whose
+    parity is the signed outcome (observable bits, then the term's sign bits).
+    """
+    measured_circuits: list[QuantumCircuit] = []
+    selected_clbits: list[list[int]] = []
+    for term_circuit in term_circuits:
+        measured, observable_clbits = _measured_term_circuit(term_circuit, pauli)
+        measured_circuits.append(measured)
+        selected_clbits.append(list(observable_clbits) + list(term_circuit.sign_clbits))
+    return measured_circuits, selected_clbits
+
+
 # ---------------------------------------------------------------------------
-# General (backend) path
+# The term executor and its round sources
 # ---------------------------------------------------------------------------
 
 
-def estimate_cut_expectation(
-    circuit: QuantumCircuit,
-    location: CutLocation,
-    protocol: WireCutProtocol,
-    observable: str | PauliString = "Z",
-    shots: int = 1000,
-    allocation: str = "proportional",
+def execute_terms(
+    source: RoundExecutor,
+    coefficients: Sequence[float],
+    labels: Sequence[str],
+    shots: int,
     seed: SeedLike = None,
-    method: str = "exact",
-    compute_exact: bool = True,
-    backend: SimulatorBackend | str | None = None,
     mode: str = "static",
+    allocation: str = "proportional",
     target_error: float | None = None,
     rounds: int = DEFAULT_MAX_ROUNDS,
     planner: str | None = None,
+    completed_rounds: Sequence[RoundRecord] = (),
+    on_round: Callable[[RoundRecord, dict], None] | None = None,
     execution: str = "inprocess",
     workers: int | None = None,
-) -> CutExpectationResult:
-    """Estimate ``⟨O⟩`` of ``circuit`` with the wire at ``location`` cut by ``protocol``.
+) -> tuple[list[TermEstimate], list[int], AdaptiveResult | None]:
+    """Spend a shot budget on a QPD term set and summarise every term.
 
     Parameters
     ----------
-    circuit:
-        The original (uncut) circuit; it is not modified.
-    location:
-        Where to cut (qubit and instruction position).
-    protocol:
-        The wire-cut protocol providing the QPD.
-    observable:
-        Pauli observable over the circuit's logical qubits (a single letter
-        refers to qubit 0).
+    source:
+        Round source ``(round_index, shots_per_term, seed) → means``: a
+        :class:`BackendRoundExecutor` or a :class:`BinomialRoundSource`.
+        Entries with zero shots must come back as ``0.0``.
+    coefficients:
+        QPD coefficient of every term.
+    labels:
+        Label of every term.
     shots:
-        Total shot budget across all term circuits.  In adaptive mode this
-        is the hard ``max_shots`` ceiling; fewer shots are spent when the
-        target error is reached early.
-    allocation:
-        Shot-allocation strategy (``proportional``, ``multinomial``, ``uniform``).
+        Total shot budget across all terms.  In adaptive mode this is the
+        hard ceiling; fewer shots are spent when the target error is reached
+        early.
     seed:
-        Seed or generator for all sampling.  Static mode consumes it
-        exactly as before this parameterisation (bitwise-identical
-        results); adaptive mode derives one child stream per round.
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend only).
-    compute_exact:
-        Also compute the exact uncut value for error reporting.
-    backend:
-        Execution backend (name or instance); ``None`` selects the serial
-        backend.  All backends yield identical results for the same seed.
+        Seed or generator for all sampling.  Static mode draws the
+        allocation from it and then hands the same generator to the source
+        for the one round; adaptive mode derives one child stream per round.
     mode:
-        ``"static"`` (one up-front allocation, the default) or
-        ``"adaptive"`` (round-structured execution with early stopping).
+        ``"static"`` (one up-front allocation) or ``"adaptive"``
+        (round-structured execution with early stopping).
+    allocation:
+        Static mode's shot-allocation strategy (``proportional``,
+        ``multinomial``, ``uniform``).
     target_error:
         Adaptive mode's stopping threshold on the pooled standard error
         (required when ``mode="adaptive"``).
@@ -286,32 +252,34 @@ def estimate_cut_expectation(
     planner:
         Adaptive mode's per-round :class:`~repro.qpd.allocation.ShotPlanner`
         name (``"neyman"`` by default).
+    completed_rounds:
+        Adaptive rounds persisted by an interrupted run; replayed into the
+        running statistics without re-execution (crash resume is bitwise
+        identical).
+    on_round:
+        Optional adaptive progress hook, called after every live round with
+        the record and a progress summary.
     execution:
-        Adaptive mode's round execution: ``"inprocess"`` (default) or
-        ``"distributed"`` (rounds fan out over the multi-process
-        work-stealing pool of :mod:`repro.distributed`; bitwise identical
-        to in-process for the same seed).
+        ``"inprocess"`` (default) or ``"distributed"``: adaptive rounds fan
+        out over the multi-process work-stealing pool of
+        :mod:`repro.distributed` (the source needs a ``distribute()`` hook).
+        Bitwise identical to in-process for the same seed.
     workers:
         Distributed execution's worker-process count.
+
+    Returns
+    -------
+    tuple[list[TermEstimate], list[int], AdaptiveResult | None]
+        Per-term summaries, the shots spent on each term, and the engine
+        result (round records + convergence) in adaptive mode, ``None`` in
+        static mode.
     """
     if mode not in ESTIMATION_MODES:
         raise CuttingError(f"unknown mode {mode!r}; expected one of {ESTIMATION_MODES}")
+    if execution not in EXECUTION_MODES:
+        raise CuttingError(f"unknown execution {execution!r}; expected one of {EXECUTION_MODES}")
     if execution != "inprocess" and mode != "adaptive":
         raise CuttingError("distributed execution requires mode='adaptive'")
-    pauli = _as_pauli(observable, circuit.num_qubits)
-    decomposition = protocol.decomposition()
-    term_circuits = build_cut_circuits(circuit, location, protocol)
-    exec_backend = resolve_backend(backend, method=method)
-    measured_circuits: list[QuantumCircuit] = []
-    selected_clbits: list[list[int]] = []
-    for term_circuit in term_circuits:
-        measured, observable_clbits = _measured_term_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(list(observable_clbits) + list(term_circuit.sign_clbits))
-    exact_value = (
-        exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
-    )
-
     if mode == "adaptive":
         if target_error is None:
             raise CuttingError("adaptive mode requires target_error")
@@ -319,55 +287,61 @@ def estimate_cut_expectation(
             target_error=target_error, max_shots=int(shots), max_rounds=rounds, planner=planner
         )
         adaptive = run_adaptive_rounds(
-            [term.coefficient for term in term_circuits],
-            _backend_round_executor(exec_backend, measured_circuits, selected_clbits),
+            coefficients,
+            source,
             config,
             seed=seed,
-            labels=[term.term.label for term in term_circuits],
+            labels=labels,
+            completed_rounds=completed_rounds,
+            on_round=on_round,
             execution=execution,
             workers=workers,
         )
-        return CutExpectationResult.from_adaptive(adaptive, protocol.name, exact_value)
+        term_estimates = list(adaptive.estimate.term_estimates)
+        return term_estimates, [int(estimate.shots) for estimate in term_estimates], adaptive
 
     rng = as_generator(seed)
-    shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy=allocation, seed=rng)
-    counts_per_term = exec_backend.run_batch(
-        measured_circuits, [int(s) for s in shots_per_term], seed=rng
-    )
-    term_estimates: list[TermEstimate] = []
-    for term_circuit, term_shots, counts, selected in zip(
-        term_circuits, shots_per_term, counts_per_term, selected_clbits
-    ):
-        if term_shots == 0:
-            mean = 0.0
-        elif selected:
-            mean = counts.expectation_z(selected)
-        else:
-            mean = 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=term_circuit.coefficient,
-                mean=mean,
-                shots=int(term_shots),
-                label=term_circuit.term.label,
-            )
-        )
+    magnitudes = np.abs(np.asarray(coefficients, dtype=float))
+    shots_per_term = allocate_shots(magnitudes / magnitudes.sum(), shots, strategy=allocation, seed=rng)
+    means = source(0, shots_per_term, rng)
+    term_estimates = [
+        TermEstimate(coefficient=float(coefficient), mean=float(mean), shots=int(count), label=label)
+        for coefficient, mean, count, label in zip(coefficients, means, shots_per_term, labels)
+    ]
+    return term_estimates, [int(count) for count in shots_per_term], None
 
-    estimate: QPDEstimate = combine_term_estimates(term_estimates)
+
+def _estimate(
+    source: RoundExecutor,
+    coefficients: Sequence[float],
+    labels: Sequence[str],
+    shots: int,
+    protocol_name: str,
+    exact_value: float | None,
+    **options,
+) -> CutExpectationResult:
+    """Run :func:`execute_terms` and recombine its terms into a cut result."""
+    term_estimates, shots_per_term, adaptive = execute_terms(
+        source, coefficients, labels, shots, **options
+    )
+    estimate = combine_term_estimates(term_estimates) if adaptive is None else adaptive.estimate
     return CutExpectationResult(
         value=estimate.value,
         standard_error=estimate.standard_error,
         total_shots=estimate.total_shots,
         kappa=estimate.kappa,
-        shots_per_term=tuple(int(s) for s in shots_per_term),
+        shots_per_term=tuple(shots_per_term),
         term_estimates=estimate.term_estimates,
-        protocol_name=protocol.name,
+        protocol_name=protocol_name,
         exact_value=exact_value,
+        mode="static" if adaptive is None else "adaptive",
+        converged=None if adaptive is None else adaptive.converged,
+        rounds=() if adaptive is None else adaptive.rounds,
     )
 
 
 class BackendRoundExecutor:
-    """The adaptive engine's round hook over a simulator backend.
+    """The round source over a simulator backend.
 
     Each round submits the full measured-circuit batch with the round's
     per-term shot counts (zero-shot terms keep the per-circuit seed streams
@@ -433,13 +407,131 @@ class BackendRoundExecutor:
         )
 
 
-def _backend_round_executor(
-    exec_backend: SimulatorBackend,
-    measured_circuits: list[QuantumCircuit],
-    selected_clbits: list[list[int]],
-) -> BackendRoundExecutor:
-    """Return the adaptive engine's round hook over a simulator backend."""
-    return BackendRoundExecutor(exec_backend, measured_circuits, selected_clbits)
+class BinomialRoundSource:
+    """The round source over exact per-term ``p₊`` values.
+
+    Each round draws every term's successes as one binomial over its exact
+    probability of a +1 signed outcome, in term order, from
+    ``numpy.random.default_rng(seed)`` — the generator itself when ``seed``
+    already is one.  Zero-shot terms draw nothing.
+
+    Parameters
+    ----------
+    probabilities_plus:
+        Exact ``p₊`` of every term.
+    """
+
+    def __init__(self, probabilities_plus: Sequence[float]) -> None:
+        self.probabilities_plus = np.asarray(probabilities_plus, dtype=float)
+
+    def __call__(self, index, round_shots, seed):
+        """Draw one round's per-term means as binomials over the exact ``p₊``."""
+        rng = np.random.default_rng(seed)
+        return [
+            2.0 * rng.binomial(int(count), probability) / count - 1.0 if count > 0 else 0.0
+            for probability, count in zip(self.probabilities_plus, round_shots)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# General (backend) path
+# ---------------------------------------------------------------------------
+
+
+def estimate_cut_expectation(
+    circuit: QuantumCircuit,
+    location: CutLocation,
+    protocol: WireCutProtocol,
+    observable: str | PauliString = "Z",
+    shots: int = 1000,
+    allocation: str = "proportional",
+    seed: SeedLike = None,
+    method: str = "exact",
+    compute_exact: bool = True,
+    backend: SimulatorBackend | str | None = None,
+    mode: str = "static",
+    target_error: float | None = None,
+    rounds: int = DEFAULT_MAX_ROUNDS,
+    planner: str | None = None,
+    execution: str = "inprocess",
+    workers: int | None = None,
+) -> CutExpectationResult:
+    """Estimate ``⟨O⟩`` of ``circuit`` with the wire at ``location`` cut by ``protocol``.
+
+    Every call samples the term circuits afresh through the execution
+    backend (a :class:`BackendRoundExecutor` source for
+    :func:`execute_terms`).
+
+    Parameters
+    ----------
+    circuit:
+        The original (uncut) circuit; it is not modified.
+    location:
+        Where to cut (qubit and instruction position).
+    protocol:
+        The wire-cut protocol providing the QPD.
+    observable:
+        Pauli observable over the circuit's logical qubits (a single letter
+        refers to qubit 0).
+    shots:
+        Total shot budget across all term circuits.  In adaptive mode this
+        is the hard ``max_shots`` ceiling; fewer shots are spent when the
+        target error is reached early.
+    allocation:
+        Shot-allocation strategy (``proportional``, ``multinomial``, ``uniform``).
+    seed:
+        Seed or generator for all sampling (see :func:`execute_terms`).
+    method:
+        Shot-simulator method (``exact`` or ``trajectory``; serial backend only).
+    compute_exact:
+        Also compute the exact uncut value for error reporting.
+    backend:
+        Execution backend (name or instance); ``None`` selects the serial
+        backend.  All backends yield identical results for the same seed.
+    mode:
+        ``"static"`` (one up-front allocation, the default) or
+        ``"adaptive"`` (round-structured execution with early stopping).
+    target_error:
+        Adaptive mode's stopping threshold on the pooled standard error
+        (required when ``mode="adaptive"``).
+    rounds:
+        Adaptive mode's round limit.
+    planner:
+        Adaptive mode's per-round :class:`~repro.qpd.allocation.ShotPlanner`
+        name (``"neyman"`` by default).
+    execution:
+        Adaptive mode's round execution: ``"inprocess"`` (default) or
+        ``"distributed"`` (rounds fan out over the multi-process
+        work-stealing pool of :mod:`repro.distributed`; bitwise identical
+        to in-process for the same seed).
+    workers:
+        Distributed execution's worker-process count.
+    """
+    pauli = _as_pauli(observable, circuit.num_qubits)
+    term_circuits = build_cut_circuits(circuit, location, protocol)
+    source = BackendRoundExecutor(
+        resolve_backend(backend, method=method), *_measured_batch(term_circuits, pauli)
+    )
+    exact_value = (
+        exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
+    )
+    return _estimate(
+        source,
+        [term.coefficient for term in term_circuits],
+        [term.term.label for term in term_circuits],
+        shots,
+        protocol.name,
+        exact_value,
+        seed=seed,
+        mode=mode,
+        allocation=allocation,
+        target_error=target_error,
+        rounds=rounds,
+        planner=planner,
+        execution=execution,
+        workers=workers,
+    )
+
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +566,6 @@ class TermSamplingModel:
         """The term's exact expectation ``2 p₊ − 1``."""
         return 2.0 * self.probability_plus - 1.0
 
-    def sample_mean(self, shots: int, rng: np.random.Generator) -> float:
-        """Return the empirical mean of ``shots`` i.i.d. ±1 outcomes."""
-        if shots <= 0:
-            return 0.0
-        successes = rng.binomial(shots, self.probability_plus)
-        return 2.0 * successes / shots - 1.0
-
 
 @dataclass(frozen=True)
 class CutSamplingModel:
@@ -509,6 +594,10 @@ class CutSamplingModel:
         """The exact value reconstructed through the decomposition (should equal ``exact_value``)."""
         return float(sum(t.coefficient * t.exact_mean for t in self.terms))
 
+    def _source(self) -> BinomialRoundSource:
+        """The binomial round source over the terms' exact ``p₊`` values."""
+        return BinomialRoundSource([t.probability_plus for t in self.terms])
+
     def estimate(
         self,
         shots: int,
@@ -516,34 +605,23 @@ class CutSamplingModel:
         seed: SeedLike = None,
     ) -> CutExpectationResult:
         """Produce one finite-shot estimate with the given total budget."""
-        rng = as_generator(seed)
-        shots_per_term = allocate_shots(self.probabilities, shots, strategy=allocation, seed=rng)
-        term_estimates = []
-        for model, term_shots in zip(self.terms, shots_per_term):
-            mean = model.sample_mean(int(term_shots), rng)
-            term_estimates.append(
-                TermEstimate(
-                    coefficient=model.coefficient,
-                    mean=mean,
-                    shots=int(term_shots),
-                    label=model.label,
-                )
-            )
-        estimate = combine_term_estimates(term_estimates)
-        return CutExpectationResult(
-            value=estimate.value,
-            standard_error=estimate.standard_error,
-            total_shots=estimate.total_shots,
-            kappa=estimate.kappa,
-            shots_per_term=tuple(int(s) for s in shots_per_term),
-            term_estimates=estimate.term_estimates,
-            protocol_name=self.protocol_name,
-            exact_value=self.exact_value,
+        return _estimate(
+            self._source(),
+            [t.coefficient for t in self.terms],
+            [t.label for t in self.terms],
+            shots,
+            self.protocol_name,
+            self.exact_value,
+            seed=seed,
+            allocation=allocation,
         )
 
     def estimate_adaptive(
         self,
-        config: AdaptiveConfig,
+        shots: int,
+        target_error: float,
+        rounds: int = DEFAULT_MAX_ROUNDS,
+        planner: str | None = None,
         seed: SeedLike = None,
     ) -> CutExpectationResult:
         """Produce one adaptive estimate through the streaming round engine.
@@ -553,13 +631,18 @@ class CutSamplingModel:
         outcomes as binomial samples from the exact per-term distributions
         (statistically identical to re-running the simulator), merges the
         running statistics and stops as soon as the pooled standard error
-        reaches ``config.target_error`` — or ``config.max_shots`` /
-        ``config.max_rounds`` is exhausted.
+        reaches ``target_error`` — or ``shots`` / ``rounds`` is exhausted.
 
         Parameters
         ----------
-        config:
-            The adaptive-engine configuration.
+        shots:
+            Hard ceiling on the total shots.
+        target_error:
+            Stopping threshold on the pooled standard error.
+        rounds:
+            Round limit.
+        planner:
+            Per-round planner name (``"neyman"`` by default).
         seed:
             Master seed; round ``r`` draws from the ``r``-th spawned child
             stream.
@@ -570,24 +653,19 @@ class CutSamplingModel:
             The recombined estimate with ``mode="adaptive"``, the round
             records and the convergence flag attached.
         """
-        p_plus = np.array([t.probability_plus for t in self.terms])
-
-        def execute_round(index, round_shots, seed_sequence):
-            """Draw one round's outcomes as binomials from the exact distributions."""
-            rng = np.random.default_rng(seed_sequence)
-            return [
-                2.0 * rng.binomial(int(count), probability) / count - 1.0 if count > 0 else 0.0
-                for probability, count in zip(p_plus, round_shots)
-            ]
-
-        adaptive: AdaptiveResult = run_adaptive_rounds(
+        return _estimate(
+            self._source(),
             [t.coefficient for t in self.terms],
-            execute_round,
-            config,
+            [t.label for t in self.terms],
+            shots,
+            self.protocol_name,
+            self.exact_value,
             seed=seed,
-            labels=[t.label for t in self.terms],
+            mode="adaptive",
+            target_error=target_error,
+            rounds=rounds,
+            planner=planner,
         )
-        return CutExpectationResult.from_adaptive(adaptive, self.protocol_name, self.exact_value)
 
     def estimate_sweep(
         self,
@@ -688,14 +766,10 @@ def build_sampling_models(
     for circuit, location in zip(circuits, locations):
         pauli = _as_pauli(observable, circuit.num_qubits)
         paulis.append(pauli)
-        per_circuit = []
-        for term_circuit in build_cut_circuits(circuit, location, protocol):
-            measured, observable_clbits = _measured_term_circuit(term_circuit, pauli)
-            measured_circuits.append(measured)
-            per_circuit.append(
-                (term_circuit, list(observable_clbits) + list(term_circuit.sign_clbits))
-            )
-        term_metadata.append(per_circuit)
+        term_circuits = build_cut_circuits(circuit, location, protocol)
+        measured, selected_clbits = _measured_batch(term_circuits, pauli)
+        measured_circuits.extend(measured)
+        term_metadata.append(list(zip(term_circuits, selected_clbits)))
 
     distributions = exec_backend.exact_distributions(measured_circuits)
 

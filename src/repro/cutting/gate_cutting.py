@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.exceptions import CuttingError
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import _BASIS_CHANGE, exact_expectation
+from repro.circuits.expectation import exact_expectation, measured_pauli_circuit
 from repro.circuits.shot_simulator import ShotSimulator
 from repro.qpd.allocation import allocate_shots
 from repro.qpd.decomposition import QuasiProbDecomposition
@@ -361,14 +361,10 @@ def estimate_gate_cut_expectation(
 
     Returns a :class:`~repro.cutting.executor.CutExpectationResult`.
     """
-    from repro.cutting.executor import CutExpectationResult
+    from repro.cutting.executor import CutExpectationResult, _as_pauli
 
     rng = as_generator(seed)
-    pauli = observable if isinstance(observable, PauliString) else PauliString(observable)
-    if pauli.num_qubits != circuit.num_qubits:
-        raise CuttingError(
-            f"observable acts on {pauli.num_qubits} qubits, circuit has {circuit.num_qubits}"
-        )
+    pauli = _as_pauli(observable, circuit.num_qubits)
     decomposition = protocol.decomposition()
     shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy=allocation, seed=rng)
     term_circuits = build_gate_cut_circuits(circuit, gate_index, protocol)
@@ -383,17 +379,9 @@ def estimate_gate_cut_expectation(
                 )
             )
             continue
-        base = term_circuit.circuit
-        active = [(q, p) for q, p in enumerate(pauli.labels) if p != "I"]
-        measured = QuantumCircuit(base.num_qubits, base.num_clbits + len(active))
-        measured.compose(base, inplace=True)
-        observable_clbits = []
-        for offset, (qubit, label) in enumerate(active):
-            for gate_name, params in _BASIS_CHANGE[label]:
-                measured.gate(gate_name, qubit, params)
-            clbit = base.num_clbits + offset
-            measured.measure(qubit, clbit)
-            observable_clbits.append(clbit)
+        measured, observable_clbits = measured_pauli_circuit(
+            term_circuit.circuit, enumerate(pauli.labels)
+        )
         counts = simulator.run(measured, shots=int(term_shots), seed=rng)
         selected = observable_clbits + list(term_circuit.sign_clbits)
         mean = counts.expectation_z(selected) if selected else 1.0

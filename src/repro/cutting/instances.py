@@ -34,7 +34,10 @@ circuit-knitting-toolbox lineage:
 The payoff is twofold: simulation cost drops from mⁿ monolithic circuits to
 the (far fewer, exponentially narrower) unique instances, and reconstruction
 drops from materialising the κⁿ summation to a chain contraction that is
-linear in the number of fragments.
+linear in the number of fragments.  Sampling the product terms is the term
+executor's job: :func:`repro.cutting.executor.sampling_models_from_instances`
+turns an evaluated table into per-term ``p₊`` values for its binomial round
+source.
 """
 
 from __future__ import annotations
@@ -54,17 +57,8 @@ from repro.circuits.instruction import Instruction
 from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
 from repro.cutting.cut_finding import MultiCutPlan, _wire_usage
 from repro.cutting.executor import _as_pauli
-from repro.qpd.adaptive import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    RoundRecord,
-    run_adaptive_rounds,
-)
-from repro.qpd.allocation import allocate_shots
 from repro.qpd.contraction import chain_probability_plus, signed_transfer
-from repro.qpd.estimator import TermEstimate
 from repro.quantum.paulis import PauliString
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "SplitGadget",
@@ -75,8 +69,6 @@ __all__ = [
     "InstanceStats",
     "InstanceTable",
     "build_instance_table",
-    "execute_instances",
-    "execute_instances_adaptive",
 ]
 
 #: Scratch wiring used to materialise a gadget for splitting.
@@ -953,135 +945,3 @@ def build_instance_table(
         monolithic path.
     """
     return InstanceTable(circuit, plan, protocols, observable)
-
-
-def execute_instances(
-    table: InstanceTable,
-    shots: int,
-    allocation: str = "proportional",
-    seed: SeedLike = None,
-    backend: SimulatorBackend | str | None = None,
-) -> tuple[list[TermEstimate], list[int], InstanceStats]:
-    """Static execution of a product term set through the shared instance table.
-
-    The dedup counterpart of
-    :func:`repro.cutting.multi_wire.execute_term_circuits`: unique instances
-    are evaluated once through ``backend``, each term's exact ``p₊`` is
-    chained from the shared tensors, and the term's empirical mean is drawn
-    as a binomial over ``p₊`` — statistically identical to simulating the
-    monolithic term circuit (every shot is an i.i.d. draw from the same
-    exact distribution) and bitwise identical across backends.
-
-    Parameters
-    ----------
-    table:
-        The instance table of the plan.
-    shots:
-        Total shot budget across all product terms.
-    allocation:
-        Shot-allocation strategy over the product term set.
-    seed:
-        Seed or generator for allocation and sampling.
-    backend:
-        Execution backend (name or instance); ``None`` selects serial.
-
-    Returns
-    -------
-    tuple[list[TermEstimate], list[int], InstanceStats]
-        Per-term empirical summaries, the shots assigned to each term, and
-        the dedup accounting.
-    """
-    stats = table.evaluate(backend)
-    rng = as_generator(seed)
-    assignments = table.term_assignments()
-    coefficients = np.array([table.term_coefficient(a) for a in assignments])
-    magnitudes = np.abs(coefficients)
-    probabilities = magnitudes / magnitudes.sum()
-    shots_per_term = allocate_shots(probabilities, shots, strategy=allocation, seed=rng)
-    term_estimates = []
-    for assignment, coefficient, term_shots in zip(assignments, coefficients, shots_per_term):
-        count = int(term_shots)
-        if count <= 0:
-            mean = 0.0
-        else:
-            probability_plus = table.term_probability_plus(assignment)
-            successes = rng.binomial(count, probability_plus)
-            mean = 2.0 * successes / count - 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=float(coefficient),
-                mean=mean,
-                shots=count,
-                label=table.term_label(assignment),
-            )
-        )
-    return term_estimates, [int(count) for count in shots_per_term], stats
-
-
-def execute_instances_adaptive(
-    table: InstanceTable,
-    config: AdaptiveConfig,
-    seed: SeedLike = None,
-    backend: SimulatorBackend | str | None = None,
-    completed_rounds: Sequence[RoundRecord] = (),
-    on_round=None,
-) -> tuple[list[TermEstimate], list[int], AdaptiveResult, InstanceStats]:
-    """Round-structured execution of a product term set through the instance table.
-
-    The dedup counterpart of
-    :func:`repro.cutting.multi_wire.execute_term_circuits_adaptive`: the
-    unique instances are evaluated once up front, and every round's
-    outcomes are binomial draws from the chained exact ``p₊`` values —
-    the same statistical model
-    :meth:`repro.cutting.executor.CutSamplingModel.estimate_adaptive`
-    uses for the single-cut sweep path.
-
-    Parameters
-    ----------
-    table:
-        The instance table of the plan.
-    config:
-        The adaptive-engine configuration (target error, budget, rounds,
-        planner).
-    seed:
-        Master seed; round ``r`` draws from the ``r``-th spawned child
-        sequence.
-    backend:
-        Execution backend (name or instance); ``None`` selects serial.
-    completed_rounds:
-        Rounds persisted by an interrupted run, replayed without
-        re-execution.
-    on_round:
-        Optional progress hook forwarded to the engine.
-
-    Returns
-    -------
-    tuple[list[TermEstimate], list[int], AdaptiveResult, InstanceStats]
-        Per-term summaries, total shots per term, the engine result and
-        the dedup accounting.
-    """
-    stats = table.evaluate(backend)
-    assignments = table.term_assignments()
-    coefficients = [table.term_coefficient(a) for a in assignments]
-    p_plus = np.array([table.term_probability_plus(a) for a in assignments])
-
-    def execute_round(index, round_shots, seed_sequence):
-        """Draw one round's outcomes as binomials from the chained distributions."""
-        rng = np.random.default_rng(seed_sequence)
-        return [
-            2.0 * rng.binomial(int(count), probability) / count - 1.0 if count > 0 else 0.0
-            for probability, count in zip(p_plus, round_shots)
-        ]
-
-    adaptive = run_adaptive_rounds(
-        coefficients,
-        execute_round,
-        config,
-        seed=seed,
-        labels=[table.term_label(a) for a in assignments],
-        completed_rounds=completed_rounds,
-        on_round=on_round,
-    )
-    term_estimates = list(adaptive.estimate.term_estimates)
-    shots_per_term = [int(estimate.shots) for estimate in term_estimates]
-    return term_estimates, shots_per_term, adaptive, stats

@@ -11,12 +11,11 @@ introduction motivates.  This module provides:
   of them), which is what lets :func:`repro.cutting.cut_finding.plan_cuts`
   split a circuit into more than two fragments.
 * :func:`estimate_multi_cut_expectation` — estimate an observable of the
-  multiply-cut circuit.  All term circuits are submitted to a
-  :class:`~repro.circuits.backends.SimulatorBackend` as one batch, so the
-  vectorized and process-pool backends accelerate multi-cut estimation
-  exactly as they do the single-cut executor; results are bitwise identical
-  across backends for the same seed.  This is the execute stage of
-  :class:`repro.pipeline.CutPipeline`.
+  multiply-cut circuit through the term executor
+  (:func:`repro.cutting.executor.execute_terms`).  All term circuits are
+  submitted to a :class:`~repro.circuits.backends.SimulatorBackend` as one
+  batch, so results are bitwise identical across backends for the same
+  seed.  :class:`repro.pipeline.CutPipeline` runs the same term sets.
 * :func:`independent_cuts_decomposition` — the channel-level tensor-product
   QPD, for analytic comparisons.
 * overhead helpers re-exported from :mod:`repro.cutting.overhead` comparing
@@ -27,40 +26,32 @@ introduction motivates.  This module provides:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 from repro.exceptions import CuttingError
 from repro.circuits.backends import SimulatorBackend, resolve_backend
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import _BASIS_CHANGE, exact_expectation
+from repro.circuits.expectation import exact_expectation
 from repro.cutting.base import GadgetWiring, WireCutProtocol
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import ESTIMATION_MODES, CutExpectationResult, _backend_round_executor
-from repro.qpd.adaptive import (
-    DEFAULT_MAX_ROUNDS,
-    AdaptiveConfig,
-    AdaptiveResult,
-    RoundRecord,
-    run_adaptive_rounds,
+from repro.cutting.executor import (
+    BackendRoundExecutor,
+    CutExpectationResult,
+    _as_pauli,
+    _estimate,
+    _measured_batch,
 )
-from repro.qpd.allocation import allocate_shots
+from repro.qpd.adaptive import DEFAULT_MAX_ROUNDS
 from repro.qpd.decomposition import QuasiProbDecomposition
-from repro.qpd.estimator import TermEstimate, combine_term_estimates
 from repro.quantum.paulis import PauliString
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "MultiCutTermCircuit",
     "build_multi_cut_circuits",
     "estimate_multi_cut_expectation",
-    "execute_term_circuits",
-    "execute_term_circuits_adaptive",
     "independent_cuts_decomposition",
-    "measured_multi_cut_circuit",
 ]
 
 
@@ -233,210 +224,6 @@ def build_multi_cut_circuits(
     return results
 
 
-def measured_multi_cut_circuit(
-    term_circuit: MultiCutTermCircuit, pauli: PauliString
-) -> tuple[QuantumCircuit, list[int]]:
-    """Append observable basis changes and measurements to a multi-cut term circuit.
-
-    Parameters
-    ----------
-    term_circuit:
-        The term circuit to measure.
-    pauli:
-        Pauli observable over the original circuit's logical qubits.
-
-    Returns
-    -------
-    tuple[QuantumCircuit, list[int]]
-        The measured circuit and the classical bits whose parity (together
-        with the term's sign bits) gives the signed observable outcome.
-    """
-    base = term_circuit.circuit
-    active = [
-        (term_circuit.qubit_map[q], p) for q, p in enumerate(pauli.labels) if p != "I"
-    ]
-    measured = QuantumCircuit(
-        base.num_qubits, base.num_clbits + len(active), name=f"{base.name}_meas"
-    )
-    measured.compose(base, inplace=True)
-    observable_clbits = []
-    for offset, (qubit, label) in enumerate(active):
-        for gate_name, params in _BASIS_CHANGE[label]:
-            measured.gate(gate_name, qubit, params)
-        clbit = base.num_clbits + offset
-        measured.measure(qubit, clbit)
-        observable_clbits.append(clbit)
-    return measured, observable_clbits + list(term_circuit.sign_clbits)
-
-
-def execute_term_circuits(
-    term_circuits: Sequence[MultiCutTermCircuit],
-    pauli: PauliString,
-    shots: int,
-    allocation: str = "proportional",
-    seed: SeedLike = None,
-    backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
-) -> tuple[list[TermEstimate], list[int]]:
-    """Allocate, measure, batch-run and summarise a product term set.
-
-    This is the shared execute step of :func:`estimate_multi_cut_expectation`
-    and :meth:`repro.pipeline.CutPipeline.execute`: the shot budget is split
-    across the terms by ``allocation`` (proportional to coefficient
-    magnitudes by default), every term circuit is measured in the
-    observable's basis, and the batch runs through ``backend`` with one seed
-    stream per circuit.
-
-    Parameters
-    ----------
-    term_circuits:
-        The product term set from :func:`build_multi_cut_circuits`.
-    pauli:
-        Normalised Pauli observable over the original logical qubits.
-    shots:
-        Total shot budget across all term circuits.
-    allocation:
-        Shot-allocation strategy.
-    seed:
-        Seed or generator for allocation and sampling.
-    backend:
-        Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
-
-    Returns
-    -------
-    tuple[list[TermEstimate], list[int]]
-        Per-term empirical summaries and the shots assigned to each term.
-    """
-    rng = as_generator(seed)
-    coefficients = np.array([t.coefficient for t in term_circuits])
-    magnitudes = np.abs(coefficients)
-    probabilities = magnitudes / magnitudes.sum()
-    shots_per_term = allocate_shots(probabilities, shots, strategy=allocation, seed=rng)
-
-    exec_backend = resolve_backend(backend, method=method)
-    measured_circuits: list[QuantumCircuit] = []
-    selected_clbits: list[list[int]] = []
-    for term_circuit in term_circuits:
-        measured, selected = measured_multi_cut_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(selected)
-
-    # A term with no measured bits at all (e.g. the identity term of a
-    # zero-cut plan under an all-identity observable) has a deterministic
-    # +1 outcome: spend no simulator shots on it.  Submitting zeros keeps
-    # the per-circuit seed streams aligned, so cross-backend identity holds.
-    submitted_shots = [
-        int(count) if selected else 0
-        for count, selected in zip(shots_per_term, selected_clbits)
-    ]
-    counts_per_term = exec_backend.run_batch(measured_circuits, submitted_shots, seed=rng)
-    term_estimates = []
-    for term_circuit, term_shots, counts, selected in zip(
-        term_circuits, shots_per_term, counts_per_term, selected_clbits
-    ):
-        if term_shots == 0:
-            mean = 0.0
-        elif selected:
-            mean = counts.expectation_z(selected)
-        else:
-            mean = 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=term_circuit.coefficient,
-                mean=mean,
-                shots=int(term_shots),
-                label=term_circuit.label,
-            )
-        )
-    return term_estimates, [int(s) for s in shots_per_term]
-
-
-def execute_term_circuits_adaptive(
-    term_circuits: Sequence[MultiCutTermCircuit],
-    pauli: PauliString,
-    config: AdaptiveConfig,
-    seed: SeedLike = None,
-    backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
-    completed_rounds: Sequence[RoundRecord] = (),
-    on_round=None,
-    execution: str = "inprocess",
-    workers: int | None = None,
-) -> tuple[list[TermEstimate], list[int], AdaptiveResult]:
-    """Round-structured execution of a product term set with early stopping.
-
-    The adaptive counterpart of :func:`execute_term_circuits`: the measured
-    term circuits are built once, then the streaming engine of
-    :mod:`repro.qpd.adaptive` plans each round's allocation from the terms'
-    running statistics, submits the whole batch to ``backend`` with the
-    round's shot counts (zero-shot entries keep the per-circuit seed
-    streams aligned), merges the per-round means, and stops when the
-    pooled standard error reaches ``config.target_error`` or the budget is
-    exhausted.
-
-    Parameters
-    ----------
-    term_circuits:
-        The product term set from :func:`build_multi_cut_circuits`.
-    pauli:
-        Normalised Pauli observable over the original logical qubits.
-    config:
-        The adaptive-engine configuration (target error, budget, rounds,
-        planner).
-    seed:
-        Master seed; round ``r`` always executes from the ``r``-th spawned
-        child sequence.
-    backend:
-        Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
-    completed_rounds:
-        Rounds persisted by an interrupted run; replayed into the running
-        statistics without re-execution (crash resume is bitwise
-        identical).
-    on_round:
-        Optional progress hook forwarded to the engine (called after every
-        live round with the record and a progress summary).
-    execution:
-        ``"inprocess"`` (default) or ``"distributed"``: fan each round out
-        over the multi-process work-stealing pool of
-        :mod:`repro.distributed`.  Bitwise identical to in-process for the
-        same seed, whatever the worker count or steal order.
-    workers:
-        Distributed execution's worker-process count.
-
-    Returns
-    -------
-    tuple[list[TermEstimate], list[int], AdaptiveResult]
-        Per-term summaries with running statistics, total shots per term,
-        and the engine result (round records + convergence).
-    """
-    exec_backend = resolve_backend(backend, method=method)
-    measured_circuits: list[QuantumCircuit] = []
-    selected_clbits: list[list[int]] = []
-    for term_circuit in term_circuits:
-        measured, selected = measured_multi_cut_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(selected)
-
-    adaptive = run_adaptive_rounds(
-        [term.coefficient for term in term_circuits],
-        _backend_round_executor(exec_backend, measured_circuits, selected_clbits),
-        config,
-        seed=seed,
-        labels=[term.label for term in term_circuits],
-        completed_rounds=completed_rounds,
-        on_round=on_round,
-        execution=execution,
-        workers=workers,
-    )
-    term_estimates = list(adaptive.estimate.term_estimates)
-    shots_per_term = [int(estimate.shots) for estimate in term_estimates]
-    return term_estimates, shots_per_term, adaptive
-
-
 def estimate_multi_cut_expectation(
     circuit: QuantumCircuit,
     locations: list[CutLocation],
@@ -471,7 +258,8 @@ def estimate_multi_cut_expectation(
     protocols:
         The single-wire protocol applied at each location.
     observable:
-        Pauli observable over the circuit's logical qubits.
+        Pauli observable over the circuit's logical qubits (a single letter
+        refers to qubit 0; a non-unit phase is rejected).
     shots:
         Total shot budget across all product-term circuits.  In adaptive
         mode this is the hard ceiling; fewer shots are spent when the
@@ -480,9 +268,8 @@ def estimate_multi_cut_expectation(
         Shot-allocation strategy (``proportional``, ``multinomial``,
         ``uniform``).
     seed:
-        Seed or generator for all sampling.  Static mode consumes it
-        exactly as before (bitwise-identical results); adaptive mode
-        derives one child stream per round.
+        Seed or generator for all sampling (see
+        :func:`~repro.cutting.executor.execute_terms`).
     method:
         Shot-simulator method (``exact`` or ``trajectory``; serial backend
         only).
@@ -513,54 +300,27 @@ def estimate_multi_cut_expectation(
     CutExpectationResult
         The recombined estimate with per-term summaries.
     """
-    if mode not in ESTIMATION_MODES:
-        raise CuttingError(f"unknown mode {mode!r}; expected one of {ESTIMATION_MODES}")
-    if execution != "inprocess" and mode != "adaptive":
-        raise CuttingError("distributed execution requires mode='adaptive'")
-    pauli = observable if isinstance(observable, PauliString) else PauliString(observable)
-    if pauli.num_qubits != circuit.num_qubits:
-        raise CuttingError(
-            f"observable acts on {pauli.num_qubits} qubits, circuit has {circuit.num_qubits}"
-        )
+    pauli = _as_pauli(observable, circuit.num_qubits)
     term_circuits = build_multi_cut_circuits(circuit, locations, protocols)
-    exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
-    protocol_name = "+".join(p.name for p in protocols)
-    if mode == "adaptive":
-        if target_error is None:
-            raise CuttingError("adaptive mode requires target_error")
-        config = AdaptiveConfig(
-            target_error=target_error, max_shots=int(shots), max_rounds=rounds, planner=planner
-        )
-        _, _, adaptive = execute_term_circuits_adaptive(
-            term_circuits,
-            pauli,
-            config,
-            seed=seed,
-            backend=backend,
-            method=method,
-            execution=execution,
-            workers=workers,
-        )
-        return CutExpectationResult.from_adaptive(adaptive, protocol_name, exact_value)
-    term_estimates, shots_per_term = execute_term_circuits(
-        term_circuits,
-        pauli,
-        shots,
-        allocation=allocation,
-        seed=seed,
-        backend=backend,
-        method=method,
+    source = BackendRoundExecutor(
+        resolve_backend(backend, method=method), *_measured_batch(term_circuits, pauli)
     )
-    estimate = combine_term_estimates(term_estimates)
-    return CutExpectationResult(
-        value=estimate.value,
-        standard_error=estimate.standard_error,
-        total_shots=estimate.total_shots,
-        kappa=estimate.kappa,
-        shots_per_term=tuple(shots_per_term),
-        term_estimates=estimate.term_estimates,
-        protocol_name=protocol_name,
-        exact_value=exact_value,
+    exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
+    return _estimate(
+        source,
+        [term.coefficient for term in term_circuits],
+        [term.label for term in term_circuits],
+        shots,
+        "+".join(p.name for p in protocols),
+        exact_value,
+        seed=seed,
+        mode=mode,
+        allocation=allocation,
+        target_error=target_error,
+        rounds=rounds,
+        planner=planner,
+        execution=execution,
+        workers=workers,
     )
 
 

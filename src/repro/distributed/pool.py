@@ -40,6 +40,7 @@ import numpy as np
 from repro.exceptions import DistributedError
 from repro.circuits.backends import SimulatorBackend, resolve_backend
 from repro.circuits.circuit import QuantumCircuit
+from repro.cutting.executor import BackendRoundExecutor
 from repro.distributed.queue import RoundQueue
 from repro.distributed.units import UnitResult, WorkUnit
 from repro.telemetry.metrics import REGISTRY
@@ -125,14 +126,11 @@ def execute_unit(
     """
     start = time.monotonic()
     term = int(unit.term_index)
-    selected = list(selected_clbits[term])
-    # Mirror the in-process executor exactly: terms without measured bits
-    # are deterministic +1 and never pay simulator shots.
-    submitted = [0] * len(circuits)
-    if selected:
-        submitted[term] = int(unit.shots)
-    counts = backend.run_batch(circuits, submitted, seed=_pristine_seed(unit.seed))[term]
-    mean = counts.expectation_z(selected) if selected else 1.0
+    round_shots = [0] * len(circuits)
+    round_shots[term] = int(unit.shots)
+    mean = BackendRoundExecutor(backend, circuits, selected_clbits)(
+        unit.round_index, round_shots, _pristine_seed(unit.seed)
+    )[term]
     return UnitResult(
         round_index=int(unit.round_index),
         term_index=term,

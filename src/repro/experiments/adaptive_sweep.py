@@ -42,7 +42,6 @@ from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.teleport_cut import TeleportationWireCut
 from repro.experiments.records import SweepTable
 from repro.experiments.workloads import random_single_qubit_states, state_preparation_circuit
-from repro.qpd.adaptive import AdaptiveConfig
 from repro.qpd.allocation import PLANNER_NAMES, allocate_shots
 from repro.quantum.bell import k_from_overlap
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
@@ -217,19 +216,19 @@ def adaptive_vs_static_sweep(
 
         # Adaptive arm: per-instance streaming engine at the equivalent
         # standard-error target, hard-capped by the grid's largest budget.
-        adaptive_config = AdaptiveConfig(
-            target_error=stderr_target,
-            max_shots=budget_ceiling,
-            max_rounds=config.max_rounds,
-            planner=config.planner,
-        )
         adaptive_shots = []
         adaptive_errors = []
         adaptive_stderrs = []
         adaptive_rounds = []
         converged = 0
         for model, child in zip(models, spawn_seed_sequences(rng, len(models))):
-            result = model.estimate_adaptive(adaptive_config, seed=child)
+            result = model.estimate_adaptive(
+                budget_ceiling,
+                stderr_target,
+                rounds=config.max_rounds,
+                planner=config.planner,
+                seed=child,
+            )
             adaptive_shots.append(result.total_shots)
             adaptive_errors.append(abs(result.value - model.exact_value))
             adaptive_stderrs.append(result.standard_error)

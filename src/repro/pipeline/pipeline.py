@@ -13,19 +13,20 @@ a cut-circuit expectation-value estimate:
    (:func:`~repro.cutting.multi_wire.build_multi_cut_circuits`): n cuts with
    m-term protocols yield mⁿ term circuits whose coefficients multiply, so
    the total overhead is κⁿ.
-3. **execute** — allocate the shot budget across the product term set and
-   run every measured term circuit as one batch through a
-   :class:`~repro.circuits.backends.SimulatorBackend`, inheriting the
-   vectorized / process-pool execution paths and the per-circuit seed
-   streams (identical results on every backend for the same seed).
+3. **execute** — spend the shot budget on the product term set through the
+   term executor (:func:`~repro.cutting.executor.execute_terms`), running
+   every measured term circuit as one batch through a
+   :class:`~repro.circuits.backends.SimulatorBackend` (identical results on
+   every backend for the same seed).
 4. **reconstruct** — recombine the per-term means with the signed
    coefficient products (Eq. 12) and propagate the standard error.
 
 With ``dedup=True`` (or ``"auto"``) the execute stage routes full-slice
 plans through the instance-dedup layer of :mod:`repro.cutting.instances`:
 every unique (fragment, basis-config) subcircuit instance is simulated
-exactly once, the QPD product terms index into the shared table, and the
-execution artifact carries the dedup accounting.
+exactly once, the executor draws each product term's outcomes from its
+chained exact ``p₊``, and the execution artifact carries the dedup
+accounting.
 :meth:`CutPipeline.exact_reconstruction` can likewise fold the full κⁿ
 summation into one fragment-chain contraction (``method="contraction"``).
 
@@ -56,34 +57,27 @@ from repro.circuits.expectation import exact_expectation
 from repro.cutting.base import WireCutProtocol
 from repro.cutting.cut_finding import (
     MultiCutPlan,
+    _no_plan_reason,
     plan_cuts,
     plan_from_locations,
     plan_from_positions,
 )
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import ESTIMATION_MODES, _as_pauli, _probability_plus
-from repro.cutting.instances import (
-    build_instance_table,
-    execute_instances,
-    execute_instances_adaptive,
-    instance_support_reason,
+from repro.cutting.executor import (
+    BackendRoundExecutor,
+    BinomialRoundSource,
+    _as_pauli,
+    _measured_batch,
+    _probability_plus,
+    execute_terms,
+    sampling_models_from_instances,
 )
-from repro.cutting.multi_wire import (
-    MultiCutTermCircuit,
-    build_multi_cut_circuits,
-    execute_term_circuits,
-    execute_term_circuits_adaptive,
-    measured_multi_cut_circuit,
-)
+from repro.cutting.instances import build_instance_table, instance_support_reason
+from repro.cutting.multi_wire import MultiCutTermCircuit, build_multi_cut_circuits
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.standard_cut import HaradaWireCut
 from repro.pipeline.stages import Decomposition, Execution, PipelineResult, PlanResult
-from repro.qpd.adaptive import (
-    DEFAULT_MAX_ROUNDS,
-    EXECUTION_MODES as ROUND_EXECUTION_MODES,
-    AdaptiveConfig,
-    RoundRecord,
-)
+from repro.qpd.adaptive import DEFAULT_MAX_ROUNDS, RoundRecord
 from repro.qpd.allocation import resolve_planner
 from repro.qpd.estimator import combine_term_estimates
 from repro.quantum.paulis import PauliString
@@ -281,9 +275,12 @@ class CutPipeline:
             max_fragments=self.max_fragments,
         )
         if not candidates:
+            reason = _no_plan_reason(
+                circuit, self.max_fragment_width, self.max_cuts, self.max_fragments
+            )
             raise CuttingError(
                 f"no valid cut plan splits {circuit.name!r} into fragments of width "
-                f"<= {self.max_fragment_width}"
+                f"<= {self.max_fragment_width}: {reason}"
             )
         return PlanResult(
             circuit=circuit,
@@ -487,17 +484,8 @@ class CutPipeline:
         workers: int | None,
     ) -> Execution:
         """Stage body of :meth:`execute` (runs inside the stage span)."""
-        if mode not in ESTIMATION_MODES:
-            raise CuttingError(f"unknown mode {mode!r}; expected one of {ESTIMATION_MODES}")
-        if execution not in ROUND_EXECUTION_MODES:
-            raise CuttingError(
-                f"unknown execution {execution!r}; expected one of {ROUND_EXECUTION_MODES}"
-            )
         if execution == "distributed":
-            if mode != "adaptive":
-                raise CuttingError("distributed execution requires mode='adaptive'")
-            requested_dedup = self.dedup if dedup is None else dedup
-            if requested_dedup is True:
+            if (self.dedup if dedup is None else dedup) is True:
                 raise CuttingError(
                     "dedup execution cannot distribute (the instance fast path "
                     "draws terms from one sequential stream); pass dedup=False"
@@ -505,61 +493,35 @@ class CutPipeline:
             # "auto" falls back to the distributable monolithic term path.
             dedup = False
         pauli = _as_pauli(observable, decomposition.circuit.num_qubits)
+        instance_stats = None
         if self._dedup_engages(decomposition, dedup):
-            return self._execute_dedup(
-                decomposition,
+            table = build_instance_table(
+                decomposition.circuit,
+                decomposition.plan_result.plan,
+                decomposition.protocols,
                 pauli,
-                shots,
-                seed=seed,
-                mode=mode,
-                target_error=target_error,
-                rounds=rounds,
-                planner=planner,
-                completed_rounds=completed_rounds,
-                on_round=on_round,
             )
-        if mode == "adaptive":
-            if target_error is None:
-                raise CuttingError("adaptive mode requires target_error")
-            config = AdaptiveConfig(
-                target_error=target_error,
-                max_shots=int(shots),
-                max_rounds=rounds,
-                planner=planner,
-            )
-            term_estimates, shots_per_term, adaptive = execute_term_circuits_adaptive(
-                decomposition.term_circuits,
-                pauli,
-                config,
-                seed=seed,
-                backend=self.backend,
-                completed_rounds=completed_rounds,
-                on_round=on_round,
-                execution=execution,
-                workers=workers,
-            )
-            return Execution(
-                decomposition=decomposition,
-                observable=pauli,
-                term_estimates=tuple(term_estimates),
-                shots_per_term=tuple(shots_per_term),
-                backend_name=self.backend.name,
-                # Adaptive rounds are planned from the running statistics,
-                # not the static allocation strategy — record what actually
-                # split the shots.
-                allocation=resolve_planner(planner).name,
-                mode="adaptive",
-                target_error=float(target_error),
-                converged=adaptive.converged,
-                rounds=adaptive.rounds,
-            )
-        term_estimates, shots_per_term = execute_term_circuits(
-            decomposition.term_circuits,
-            pauli,
+            terms = sampling_models_from_instances(table, self.backend)
+            instance_stats = table.stats
+            source = BinomialRoundSource([term.probability_plus for term in terms])
+        else:
+            terms = decomposition.term_circuits
+            source = BackendRoundExecutor(self.backend, *_measured_batch(terms, pauli))
+        term_estimates, shots_per_term, adaptive = execute_terms(
+            source,
+            [term.coefficient for term in terms],
+            [term.label for term in terms],
             shots,
-            allocation=self.allocation,
             seed=seed,
-            backend=self.backend,
+            mode=mode,
+            allocation=self.allocation,
+            target_error=target_error,
+            rounds=rounds,
+            planner=planner,
+            completed_rounds=completed_rounds,
+            on_round=on_round,
+            execution=execution,
+            workers=workers,
         )
         return Execution(
             decomposition=decomposition,
@@ -567,7 +529,14 @@ class CutPipeline:
             term_estimates=tuple(term_estimates),
             shots_per_term=tuple(shots_per_term),
             backend_name=self.backend.name,
-            allocation=self.allocation,
+            # Adaptive rounds are planned from the running statistics, not
+            # the static allocation strategy — record what split the shots.
+            allocation=self.allocation if adaptive is None else resolve_planner(planner).name,
+            mode=mode,
+            target_error=None if adaptive is None else float(target_error),
+            converged=None if adaptive is None else adaptive.converged,
+            rounds=() if adaptive is None else adaptive.rounds,
+            instance_stats=instance_stats,
         )
 
     def _dedup_reason(self, decomposition: Decomposition) -> str | None:
@@ -597,73 +566,6 @@ class CutPipeline:
         if requested is True:
             raise CuttingError(f"dedup execution unavailable: {reason}")
         return False
-
-    def _execute_dedup(
-        self,
-        decomposition: Decomposition,
-        pauli: PauliString,
-        shots: int,
-        seed: SeedLike,
-        mode: str,
-        target_error: float | None,
-        rounds: int,
-        planner: str | None,
-        completed_rounds: Sequence[RoundRecord],
-        on_round,
-    ) -> Execution:
-        """Execute the term set through the shared instance table."""
-        table = build_instance_table(
-            decomposition.circuit,
-            decomposition.plan_result.plan,
-            decomposition.protocols,
-            pauli,
-        )
-        if mode == "adaptive":
-            if target_error is None:
-                raise CuttingError("adaptive mode requires target_error")
-            config = AdaptiveConfig(
-                target_error=target_error,
-                max_shots=int(shots),
-                max_rounds=rounds,
-                planner=planner,
-            )
-            term_estimates, shots_per_term, adaptive, stats = execute_instances_adaptive(
-                table,
-                config,
-                seed=seed,
-                backend=self.backend,
-                completed_rounds=completed_rounds,
-                on_round=on_round,
-            )
-            return Execution(
-                decomposition=decomposition,
-                observable=pauli,
-                term_estimates=tuple(term_estimates),
-                shots_per_term=tuple(shots_per_term),
-                backend_name=self.backend.name,
-                allocation=resolve_planner(planner).name,
-                mode="adaptive",
-                target_error=float(target_error),
-                converged=adaptive.converged,
-                rounds=adaptive.rounds,
-                instance_stats=stats,
-            )
-        term_estimates, shots_per_term, stats = execute_instances(
-            table,
-            shots,
-            allocation=self.allocation,
-            seed=seed,
-            backend=self.backend,
-        )
-        return Execution(
-            decomposition=decomposition,
-            observable=pauli,
-            term_estimates=tuple(term_estimates),
-            shots_per_term=tuple(shots_per_term),
-            backend_name=self.backend.name,
-            allocation=self.allocation,
-            instance_stats=stats,
-        )
 
     # -- stage 4: reconstruct ----------------------------------------------------------
 
@@ -848,12 +750,7 @@ class CutPipeline:
             )
             table.evaluate(self.backend)
             return table.contract_exact_value()
-        measured = []
-        selected_clbits = []
-        for term_circuit in decomposition.term_circuits:
-            circuit, selected = measured_multi_cut_circuit(term_circuit, pauli)
-            measured.append(circuit)
-            selected_clbits.append(selected)
+        measured, selected_clbits = _measured_batch(decomposition.term_circuits, pauli)
         distributions = self.backend.exact_distributions(measured)
         value = 0.0
         for term_circuit, distribution, selected in zip(

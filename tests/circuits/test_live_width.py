@@ -15,7 +15,7 @@ from repro.circuits.batched_simulator import (
     structure_signature,
 )
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.cutting import measured_multi_cut_circuit
+from repro.cutting.executor import _measured_batch
 from repro.exceptions import SimulationError
 from repro.experiments import ghz_circuit
 from repro.pipeline import CutPipeline
@@ -28,7 +28,7 @@ def _nme_term_circuits(num_qubits: int) -> list[QuantumCircuit]:
     pipeline = CutPipeline(max_fragment_width=2, entanglement_overlap=0.9)
     decomposition = pipeline.decompose(pipeline.plan(ghz_circuit(num_qubits)))
     pauli = PauliString("Z" * num_qubits)
-    return [measured_multi_cut_circuit(term, pauli)[0] for term in decomposition.term_circuits]
+    return _measured_batch(decomposition.term_circuits, pauli)[0]
 
 
 def _inserted_resets(schedule) -> list:

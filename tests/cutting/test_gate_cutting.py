@@ -116,7 +116,19 @@ class TestGateCutCircuits:
 
     def test_observable_mismatch(self):
         with pytest.raises(CuttingError):
-            estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "Z", shots=10)
+            estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "ZZZ", shots=10)
+
+    def test_single_letter_observable_refers_to_qubit_zero(self):
+        single = estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "Z", shots=500, seed=3)
+        padded = estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "ZI", shots=500, seed=3)
+        assert single.value == padded.value
+        assert single.exact_value == padded.exact_value
+
+    def test_phased_observable_rejected(self):
+        with pytest.raises(CuttingError, match="phase"):
+            estimate_gate_cut_expectation(
+                self._circuit(), 2, CZGateCut(), PauliString("ZZ", phase=-1), shots=10
+            )
 
     def test_shot_accounting(self):
         result = estimate_gate_cut_expectation(

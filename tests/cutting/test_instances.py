@@ -1,7 +1,6 @@
 """Unit tests for the subcircuit-instance dedup layer (gadget splitting,
 instance enumeration, memoized evaluation and chain contraction)."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import CuttingError
@@ -9,13 +8,14 @@ from repro.circuits.backends import DistributionCache, VectorizedBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.expectation import exact_expectation
 from repro.cutting import (
+    BinomialRoundSource,
     InstanceStats,
     build_instance_table,
-    execute_instances,
-    execute_instances_adaptive,
+    execute_terms,
     instance_support_reason,
     plan_from_locations,
     plan_from_positions,
+    sampling_models_from_instances,
     split_wire_cut_term,
     supports_instance_dedup,
 )
@@ -26,7 +26,7 @@ from repro.cutting.standard_cut import HaradaWireCut
 from repro.cutting.teleport_cut import TeleportationWireCut
 from repro.devices import NoiseModel, NoisyDeviceBackend
 from repro.experiments import ghz_circuit
-from repro.qpd import AdaptiveConfig, combine_term_estimates
+from repro.qpd import combine_term_estimates
 from repro.quantum.paulis import PauliString
 
 
@@ -253,40 +253,59 @@ class TestCacheAccounting:
             )
 
 
+def _execute_table(table, shots, seed, backend=None, **options):
+    """Run a table's product terms through the term executor's binomial source."""
+    terms = sampling_models_from_instances(table, backend)
+    return execute_terms(
+        BinomialRoundSource([term.probability_plus for term in terms]),
+        [term.coefficient for term in terms],
+        [term.label for term in terms],
+        shots,
+        seed=seed,
+        **options,
+    )
+
+
 class TestExecuteInstances:
     def test_static_execution_is_seed_reproducible(self):
         _, _, table = _chain_table(observable="ZZZZI")
-        first, shots_first, stats = execute_instances(table, 2000, seed=11)
+        first, shots_first, adaptive = _execute_table(table, 2000, seed=11)
         _, _, rebuilt = _chain_table(observable="ZZZZI")
-        second, shots_second, _ = execute_instances(rebuilt, 2000, seed=11)
+        second, shots_second, _ = _execute_table(rebuilt, 2000, seed=11)
+        assert adaptive is None
         assert [e.mean for e in first] == [e.mean for e in second]
         assert shots_first == shots_second
         assert sum(shots_first) <= 2000
-        assert stats.num_terms == len(first) == 9
+        assert table.stats.num_terms == len(first) == 9
 
     def test_static_estimate_converges_to_exact(self):
         circuit, _, table = _chain_table(observable="ZZZZI")
-        estimates, _, _ = execute_instances(table, 400_000, seed=5, backend="vectorized")
+        estimates, _, _ = _execute_table(table, 400_000, seed=5, backend="vectorized")
         estimate = combine_term_estimates(estimates)
         truth = float(exact_expectation(circuit, PauliString("ZZZZI").to_matrix()))
         assert estimate.value == pytest.approx(truth, abs=0.05)
 
     def test_adaptive_execution_respects_budget(self):
         _, _, table = _chain_table(observable="ZZZZI")
-        config = AdaptiveConfig(target_error=0.01, max_shots=4000, max_rounds=6)
-        estimates, shots, result, stats = execute_instances_adaptive(
-            table, config, seed=13, backend="vectorized"
+        estimates, shots, result = _execute_table(
+            table,
+            4000,
+            seed=13,
+            backend="vectorized",
+            mode="adaptive",
+            target_error=0.01,
+            rounds=6,
         )
         assert len(estimates) == table.num_terms
         assert sum(shots) <= 4000
         assert len(result.rounds) <= 6
-        assert stats.num_instances == table.num_instances
+        assert table.stats.num_instances == table.num_instances
 
     def test_estimates_are_bitwise_identical_across_backends(self):
         means = {}
         for backend in ("serial", "vectorized"):
             _, _, table = _chain_table(observable="ZZZZI")
-            estimates, _, _ = execute_instances(table, 3000, seed=17, backend=backend)
+            estimates, _, _ = _execute_table(table, 3000, seed=17, backend=backend)
             means[backend] = tuple(e.mean for e in estimates)
         assert means["serial"] == means["vectorized"]
 

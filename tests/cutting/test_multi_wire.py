@@ -126,9 +126,29 @@ class TestEstimateMultiCut:
                 _three_qubit_circuit(),
                 [CutLocation(0, 1)],
                 [HaradaWireCut()],
-                PauliString("Z"),
+                PauliString("ZZ"),
                 shots=10,
             )
+
+    def test_phased_observable_rejected(self):
+        bell = QuantumCircuit(2, 0, name="bell")
+        bell.h(0)
+        bell.cx(0, 1)
+        with pytest.raises(CuttingError, match="phase"):
+            estimate_multi_cut_expectation(
+                bell, [CutLocation(0, 1)], [HaradaWireCut()], PauliString("ZZ", phase=-1), 20_000
+            )
+
+    def test_single_letter_observable_refers_to_qubit_zero(self):
+        circuit = _three_qubit_circuit()
+        single, padded = (
+            estimate_multi_cut_expectation(
+                circuit, [CutLocation(0, 1)], [HaradaWireCut()], observable, shots=600, seed=4
+            )
+            for observable in ("Z", "ZII")
+        )
+        assert single.value == padded.value
+        assert single.exact_value == padded.exact_value
 
 
 class TestIndependentDecomposition:

@@ -58,6 +58,32 @@ class TestPlanStage:
         with pytest.raises(CuttingError, match="no valid cut plan"):
             CutPipeline(max_fragment_width=1).plan(ghz_circuit(4))
 
+    def test_failure_names_the_default_search_depth(self):
+        with pytest.raises(CuttingError) as raised:
+            CutPipeline(max_fragment_width=2).plan(ghz_circuit(12))
+        message = str(raised.value)
+        assert "need at least 10 slices" in message
+        assert "_DEFAULT_MAX_SLICES" in message
+        assert "max_fragments=11" in message
+        # Following the advice finds the plan.
+        plan = CutPipeline(max_fragment_width=2, max_fragments=11).plan(ghz_circuit(12)).plan
+        assert plan.num_cuts == 10
+
+    def test_failure_names_max_cuts(self):
+        with pytest.raises(CuttingError, match="max_cuts=1 limits the search to 1 slice; raise max_cuts"):
+            CutPipeline(max_fragment_width=2, max_cuts=1).plan(ghz_circuit(4))
+
+    def test_failure_names_the_fewest_cuts_above_max_cuts(self):
+        circuit = QuantumCircuit(5)
+        for control, target in [(1, 0), (3, 0), (2, 0), (4, 2), (1, 4)]:
+            circuit.cx(control, target)
+        with pytest.raises(CuttingError, match="fewest cuts any plan needs is 4, above max_cuts=2"):
+            CutPipeline(max_fragment_width=3, max_cuts=2).plan(circuit)
+
+    def test_failure_names_an_instruction_wider_than_the_device(self):
+        with pytest.raises(CuttingError, match=r"instruction 1 \(cx\) acts on 2 qubits"):
+            CutPipeline(max_fragment_width=1).plan(ghz_circuit(3))
+
     def test_circuit_already_fitting_gets_trivial_plan(self):
         # A circuit no wider than the device needs no cut at all: the
         # planner returns the single-fragment plan first (kappa = 1).
