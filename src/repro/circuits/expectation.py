@@ -19,11 +19,12 @@ from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.shot_simulator import ShotSimulator
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.quantum.paulis import PauliString
-from repro.quantum.states import Statevector
+from repro.quantum.states import DensityMatrix, Statevector
 from repro.utils.rng import SeedLike
 
 __all__ = [
     "exact_expectation",
+    "final_state",
     "sampled_pauli_expectation",
     "measurement_basis_change",
     "measured_pauli_circuit",
@@ -75,15 +76,24 @@ def exact_expectation(
 ) -> float:
     """Return the exact expectation value of ``observable`` after ``circuit``.
 
-    For unitary circuits the statevector simulator is used; otherwise the
-    branch-averaged density matrix is used.
+    The value is ``Re Tr[O ρ]`` over :func:`final_state`.
     """
     matrix = observable.to_matrix() if isinstance(observable, PauliString) else np.asarray(observable, dtype=complex)
-    if circuit.is_unitary_only():
-        state = StatevectorSimulator().run(circuit, initial_state)
-        return float(np.real(state.expectation_value(matrix)))
-    result = DensityMatrixSimulator().run(circuit, initial_state)
-    return float(np.real(result.expectation_value(matrix)))
+    return float(np.real(final_state(circuit, initial_state).expectation_value(matrix)))
+
+
+def final_state(
+    circuit: QuantumCircuit, initial_state: Statevector | np.ndarray | None = None
+) -> Statevector | DensityMatrix:
+    """Return the exact state after ``circuit``.
+
+    For unconditioned unitary circuits the statevector simulator is used;
+    otherwise the branch-averaged density matrix is used.  Callers that need
+    several expectation values of one circuit simulate it once here.
+    """
+    if circuit.is_unitary_only() and not circuit.has_conditionals():
+        return StatevectorSimulator().run(circuit, initial_state)
+    return DensityMatrixSimulator().run(circuit, initial_state).average_state()
 
 
 def measurement_basis_change(pauli: str, qubit: int, num_qubits: int, num_clbits: int) -> QuantumCircuit:

@@ -545,6 +545,7 @@ def _command_resources(_: argparse.Namespace) -> int:
 
 
 def _command_ablations(args: argparse.Namespace) -> int:
+    from repro._version import ENGINE_VERSION
     from repro.exceptions import CuttingError
     from repro.cutting.noise import validate_noise_strength
     from repro.experiments import (
@@ -606,7 +607,14 @@ def _command_ablations(args: argparse.Namespace) -> int:
     blocks = []
     for name, run, parameters in ablation_runs:
         table = None
-        key = payload_fingerprint({"experiment": "ablations", "table": name, **parameters})
+        key = payload_fingerprint(
+            {
+                "experiment": "ablations",
+                "table": name,
+                "engine_version": ENGINE_VERSION,
+                **parameters,
+            }
+        )
         if store is not None:
             cached = store.get_artifact(key)
             if cached is not None:

@@ -131,6 +131,9 @@ class WireCutProtocol(ABC):
     def __init__(self) -> None:
         self._terms: tuple[WireCutTerm, ...] | None = None
         self._gadgets: dict[tuple[int, GadgetWiring, int, int], tuple[Instruction, ...]] = {}
+        #: Per-term Pauli transfer matrices, shape ``(num_terms, 4, 4)``;
+        #: measured once from probe states by :mod:`repro.cutting.executor`.
+        self._transfer_matrices: np.ndarray | None = None
 
     # -- abstract surface ---------------------------------------------------------
 

@@ -33,6 +33,13 @@ source* — a callable ``(round_index, shots_per_term, seed) → means``:
   instance-dedup path, whose ``p₊`` values come from
   :func:`sampling_models_from_instances`.
 
+:func:`build_sampling_models` gets a sweep's ``p₊`` without one term circuit
+per input where it can: with a noiseless backend and every cut after its
+circuit's last instruction, each protocol's per-term Pauli transfer matrices
+(measured once per protocol instance on four probe states) are applied to
+every circuit's final state.  A mid-circuit cut, a noisy backend or a device
+fleet keeps simulating every term circuit.
+
 :meth:`CutSamplingModel.estimate_sweep` stays a separate, vectorised draw over
 a whole shot grid: it is what lets the Figure-6 harness evaluate 1000 input
 states × 6 entanglement levels × many shot budgets in seconds.
@@ -46,11 +53,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import CuttingError
-from repro.circuits.backends import SimulatorBackend, resolve_backend
+from repro.circuits.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    SimulatorBackend,
+    VectorizedBackend,
+    resolve_backend,
+)
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import exact_expectation, measured_pauli_circuit
+from repro.circuits.expectation import exact_expectation, final_state, measured_pauli_circuit
 from repro.cutting.base import WireCutProtocol
-from repro.cutting.cutter import CutLocation, CutTermCircuit, build_cut_circuits
+from repro.cutting.cutter import (
+    CutLocation,
+    CutTermCircuit,
+    _validate_location,
+    build_cut_circuits,
+)
 from repro.qpd.adaptive import (
     DEFAULT_MAX_ROUNDS,
     EXECUTION_MODES,
@@ -724,42 +742,172 @@ def _probability_plus(distribution: dict[str, float], selected: list[int]) -> fl
     return float(min(max(probability_plus, 0.0), 1.0))
 
 
-def build_sampling_models(
+#: Backends whose exact distributions are the noiseless circuit semantics.
+_IDEAL_BACKENDS = (SerialBackend, VectorizedBackend, ProcessPoolBackend)
+
+#: Pauli letters in transfer-matrix order.
+_PAULI_LETTERS = "IXYZ"
+
+#: Probe states |0⟩, |1⟩, |+⟩, |+i⟩ and their Bloch vectors ``(1, x, y, z)``.
+_PROBE_STATES = (
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0], dtype=complex),
+    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+)
+_PROBE_BLOCH = np.array(
+    [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
+)
+
+#: Row ``p``, column ``b``: the weight of probe ``p`` in the Pauli basis vector
+#: ``σ_b``, so a term's transfer matrix is its probe means times this matrix.
+_PROBE_WEIGHTS = np.linalg.inv(_PROBE_BLOCH.T)
+
+
+def _uses_transfer_matrices(
+    backend: SimulatorBackend,
     circuits: Sequence[QuantumCircuit],
-    locations: CutLocation | Sequence[CutLocation],
-    protocol: WireCutProtocol,
-    observable: str | PauliString = "Z",
-    backend: SimulatorBackend | str | None = None,
-) -> list[CutSamplingModel]:
-    """Build one :class:`CutSamplingModel` per input circuit in a single batch.
+    locations: Sequence[CutLocation],
+) -> bool:
+    """The one rule choosing how :func:`build_sampling_models` computes ``p₊``.
 
-    All term circuits of all inputs are submitted to the execution backend as
-    one batch, so with the vectorized backend an entire workload (e.g. the
-    1000 input states of Figure 6) is simulated as a handful of stacked NumPy
-    computations rather than thousands of individual runs.
-
-    Parameters
-    ----------
-    circuits:
-        The (uncut) circuits to model.
-    locations:
-        One cut location shared by all circuits, or one per circuit.
-    protocol:
-        The wire-cut protocol providing the QPD.
-    observable:
-        Pauli observable (as in :func:`estimate_cut_expectation`).
-    backend:
-        Execution backend (name or instance); ``None`` selects the serial
-        backend.
+    Transfer matrices need a noiseless backend (a device fleet or noisy
+    backend carries device semantics only its term circuits show) and a cut
+    after the circuit's last instruction (so the wire's final state is all
+    the term acts on).
     """
-    if isinstance(locations, CutLocation):
-        locations = [locations] * len(circuits)
-    if len(locations) != len(circuits):
-        raise CuttingError(
-            f"got {len(circuits)} circuits but {len(locations)} cut locations"
-        )
-    exec_backend = resolve_backend(backend)
+    return type(backend) in _IDEAL_BACKENDS and all(
+        location.position == len(circuit) for circuit, location in zip(circuits, locations)
+    )
 
+
+def _signed_mean(distribution: dict[str, float], selected: list[int]) -> float:
+    """Exact mean of the signed outcome (parity of the selected bits).
+
+    Summing signed probabilities, rather than taking ``2 p₊ − 1``, cancels
+    exactly when both parities are equally likely, whatever the rounding of
+    the total.  A term whose exact mean is 0 then gets an exact-zero
+    transfer-matrix entry and ``p₊ = ½`` exactly: NumPy's binomial draws for
+    an odd shot count differ between ``p = ½`` and ``p = ½ − ulp``.
+    """
+    return float(
+        sum(
+            -probability if sum(int(bitstring[c]) for c in selected) % 2 else probability
+            for bitstring, probability in distribution.items()
+        )
+    )
+
+
+def _transfer_matrices(
+    protocols: Sequence[WireCutProtocol], backend: SimulatorBackend
+) -> list[np.ndarray]:
+    """Return every protocol's per-term Pauli transfer matrices (memoised).
+
+    Term ``i`` acts on the cut wire as a signed one-qubit linear map with
+    real transfer matrix ``T_i[a, b] = ½ Tr[σ_a Λ_i(σ_b)]``.  The protocol's
+    own term circuits run on the probe states |0⟩, |1⟩, |+⟩, |+i⟩, measured
+    in I, X, Y and Z: the exact signed means ``M_i[a, p]`` then give
+    ``T_i = M_i · _PROBE_WEIGHTS``.  All protocols still missing their
+    matrices share one ``exact_distributions`` batch; the result is stored
+    on each protocol instance, like its gadgets.
+    """
+    pending = [protocol for protocol in protocols if protocol._transfer_matrices is None]
+    batch: list[QuantumCircuit] = []
+    selected_per_circuit: list[list[int]] = []
+    for protocol in pending:
+        for state in _PROBE_STATES:
+            probe = QuantumCircuit(1, 0, name="probe")
+            probe.initialize(state, 0)
+            term_circuits = build_cut_circuits(probe, CutLocation(0, 1), protocol)
+            for letter in _PAULI_LETTERS:
+                measured, selected = _measured_batch(term_circuits, PauliString(letter))
+                batch.extend(measured)
+                selected_per_circuit.extend(selected)
+    means = np.array(
+        [
+            _signed_mean(distribution, selected)
+            for distribution, selected in zip(backend.exact_distributions(batch), selected_per_circuit)
+        ]
+    )
+    offset = 0
+    for protocol in pending:
+        size = len(_PROBE_STATES) * len(_PAULI_LETTERS) * protocol.num_terms
+        # Batch order is (probe, letter, term); M_i[letter, probe] per term.
+        probe_means = means[offset : offset + size].reshape(len(_PROBE_STATES), len(_PAULI_LETTERS), -1)
+        protocol._transfer_matrices = probe_means.transpose(2, 1, 0) @ _PROBE_WEIGHTS
+        offset += size
+    return [protocol._transfer_matrices for protocol in protocols]
+
+
+def _transfer_matrix_models(
+    circuits: Sequence[QuantumCircuit],
+    locations: Sequence[CutLocation],
+    protocols: Sequence[WireCutProtocol],
+    observable: str | PauliString,
+    backend: SimulatorBackend,
+) -> list[list[CutSamplingModel]]:
+    """Sampling models from per-term transfer matrices (cuts at the circuit's end).
+
+    The input side runs once per circuit: its final state gives
+    ``e_b = ⟨O with the cut wire's letter replaced by σ_b⟩`` and the exact
+    value (:func:`~repro.circuits.expectation.exact_expectation`'s
+    arithmetic).  Term ``i``'s ``p₊`` is then ``½(1 + Σ_b T_i[o, b] e_b)``
+    with ``o`` the observable's letter on the cut wire.
+    """
+    bloch = np.zeros((len(circuits), len(_PAULI_LETTERS)))
+    cut_letters = np.zeros(len(circuits), dtype=int)
+    exact_values = []
+    matrices: dict[tuple[str, int], list[np.ndarray]] = {}
+    for index, (circuit, location) in enumerate(zip(circuits, locations)):
+        _validate_location(circuit, location)
+        pauli = _as_pauli(observable, circuit.num_qubits)
+        key = (pauli.labels, location.qubit)
+        if key not in matrices:
+            matrices[key] = [
+                PauliString(
+                    pauli.labels[: location.qubit] + letter + pauli.labels[location.qubit + 1 :]
+                ).to_matrix()
+                for letter in _PAULI_LETTERS
+            ]
+        state = final_state(circuit)
+        bloch[index] = [float(np.real(state.expectation_value(m))) for m in matrices[key]]
+        cut_letters[index] = _PAULI_LETTERS.index(pauli.labels[location.qubit])
+        exact_values.append(bloch[index, cut_letters[index]])
+
+    models = []
+    for protocol, transfer in zip(protocols, _transfer_matrices(protocols, backend)):
+        # transfer[:, cut_letters] is (terms, circuits, 4): each circuit's row o.
+        means = np.einsum("nb,tnb->nt", bloch, transfer[:, cut_letters])
+        p_plus = np.clip(0.5 * (1.0 + means), 0.0, 1.0)
+        models.append(
+            [
+                CutSamplingModel(
+                    terms=tuple(
+                        TermSamplingModel(
+                            coefficient=term.coefficient,
+                            probability_plus=float(p_plus[index, term_index]),
+                            label=term.label,
+                            consumes_entangled_pair=term.consumes_entangled_pair,
+                        )
+                        for term_index, term in enumerate(protocol.terms)
+                    ),
+                    exact_value=float(exact_value),
+                    protocol_name=protocol.name,
+                )
+                for index, exact_value in enumerate(exact_values)
+            ]
+        )
+    return models
+
+
+def _term_circuit_models(
+    circuits: Sequence[QuantumCircuit],
+    locations: Sequence[CutLocation],
+    protocol: WireCutProtocol,
+    observable: str | PauliString,
+    backend: SimulatorBackend,
+) -> list[CutSamplingModel]:
+    """Sampling models from simulated term circuits (any cut, any backend)."""
     measured_circuits: list[QuantumCircuit] = []
     term_metadata: list[list[tuple[CutTermCircuit, list[int]]]] = []
     paulis = []
@@ -771,7 +919,7 @@ def build_sampling_models(
         measured_circuits.extend(measured)
         term_metadata.append(list(zip(term_circuits, selected_clbits)))
 
-    distributions = exec_backend.exact_distributions(measured_circuits)
+    distributions = backend.exact_distributions(measured_circuits)
 
     models: list[CutSamplingModel] = []
     cursor = 0
@@ -796,6 +944,59 @@ def build_sampling_models(
     return models
 
 
+def build_sampling_models(
+    circuits: Sequence[QuantumCircuit],
+    locations: CutLocation | Sequence[CutLocation],
+    protocols: Sequence[WireCutProtocol],
+    observable: str | PauliString = "Z",
+    backend: SimulatorBackend | str | None = None,
+) -> list[list[CutSamplingModel]]:
+    """Build one :class:`CutSamplingModel` per input circuit, for every protocol.
+
+    One rule picks how the exact per-term ``p₊`` are computed.  With a
+    noiseless backend (serial, vectorized or process-pool) and every cut
+    after its circuit's last instruction — the shape of every experiment
+    sweep — each protocol's per-term Pauli transfer matrices (measured once
+    per protocol instance on four probe states, one backend batch for all
+    protocols of the call) are applied to each circuit's final state, and
+    no term circuit is built.  Otherwise (a mid-circuit cut, a noisy
+    backend or a device fleet) every term circuit of every input is
+    simulated, one backend batch per protocol.  Both agree to rounding.
+
+    Parameters
+    ----------
+    circuits:
+        The (uncut) circuits to model.
+    locations:
+        One cut location shared by all circuits, or one per circuit.
+    protocols:
+        The wire-cut protocols providing the QPDs.
+    observable:
+        Pauli observable (as in :func:`estimate_cut_expectation`).
+    backend:
+        Execution backend (name or instance); ``None`` selects the serial
+        backend.
+
+    Returns
+    -------
+    list[list[CutSamplingModel]]
+        Per protocol, one model per circuit.
+    """
+    if isinstance(locations, CutLocation):
+        locations = [locations] * len(circuits)
+    if len(locations) != len(circuits):
+        raise CuttingError(
+            f"got {len(circuits)} circuits but {len(locations)} cut locations"
+        )
+    exec_backend = resolve_backend(backend)
+    if _uses_transfer_matrices(exec_backend, circuits, locations):
+        return _transfer_matrix_models(circuits, locations, protocols, observable, exec_backend)
+    return [
+        _term_circuit_models(circuits, locations, protocol, observable, exec_backend)
+        for protocol in protocols
+    ]
+
+
 def build_sampling_model(
     circuit: QuantumCircuit,
     location: CutLocation,
@@ -803,13 +1004,12 @@ def build_sampling_model(
     observable: str | PauliString = "Z",
     backend: SimulatorBackend | str | None = None,
 ) -> CutSamplingModel:
-    """Compute the exact per-term outcome distributions for a cut.
+    """Compute the exact per-term ``p₊`` of one cut circuit.
 
-    One exact simulation is performed per term circuit (batched and cached
-    when the vectorized backend is selected); the resulting classical
-    distributions give the exact probability of a +1 signed outcome per term.
+    The one-circuit case of :func:`build_sampling_models`, which picks
+    between transfer matrices and simulated term circuits.
     """
-    return build_sampling_models([circuit], location, protocol, observable, backend=backend)[0]
+    return build_sampling_models([circuit], location, [protocol], observable, backend=backend)[0][0]
 
 
 def sampling_models_from_instances(table, backend=None) -> list[TermSamplingModel]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ExperimentError
-from repro.circuits.backends import BACKEND_NAMES, resolve_backend
+from repro.circuits.backends import BACKEND_NAMES
 from repro.cutting.cutter import CutLocation
 from repro.cutting.executor import CutSamplingModel, build_sampling_models
 from repro.cutting.nme_cut import NMEWireCut
@@ -171,7 +171,6 @@ def adaptive_vs_static_sweep(
     workload = random_single_qubit_states(config.num_states, seed=rng)
     circuits = [state_preparation_circuit(unitary) for unitary in workload.unitaries]
     locations = [CutLocation(0, len(circuit)) for circuit in circuits]
-    backend = resolve_backend(config.backend)
     stderr_target = config.target_error * ABS_ERROR_TO_STDERR * config.stderr_safety
     budget_ceiling = int(config.candidate_budgets[-1])
 
@@ -189,9 +188,11 @@ def adaptive_vs_static_sweep(
     }
     total_static = 0
     total_adaptive = 0
-    for overlap in config.overlaps:
-        protocol = _protocol_for_overlap(overlap)
-        models = build_sampling_models(circuits, locations, protocol, "Z", backend=backend)
+    protocols = [_protocol_for_overlap(overlap) for overlap in config.overlaps]
+    models_per_overlap = build_sampling_models(
+        circuits, locations, protocols, "Z", backend=config.backend
+    )
+    for overlap, protocol, models in zip(config.overlaps, protocols, models_per_overlap):
 
         # Static arm: the repo's pre-adaptive methodology — one budget for
         # the whole workload, from the doubling grid.  The selection uses
@@ -254,7 +255,6 @@ def adaptive_vs_static_sweep(
         columns["converged_fraction"].append(float(converged / len(models)))
         columns["savings_fraction"].append(float(savings))
 
-    cache = getattr(backend, "cache", None)
     return SweepTable(
         name="adaptive_vs_static_shots_to_target",
         columns=columns,
@@ -270,6 +270,5 @@ def adaptive_vs_static_sweep(
             "total_savings_fraction": (
                 float(1.0 - total_adaptive / total_static) if total_static > 0 else None
             ),
-            "cache_entries": None if cache is None else len(cache),
         },
     )

@@ -11,15 +11,16 @@ The paper's experiment (Section IV):
 * the figure reports the absolute error (Eq. 28) averaged over the input
   states, per shot budget and entanglement level.
 
-The harness below evaluates exactly this.  For every (state, entanglement)
-pair the exact per-term outcome distributions are computed once — batched
-across the whole workload through the configured execution backend
-(:func:`repro.cutting.executor.build_sampling_models`; the default
-``vectorized`` backend stacks all structurally identical term circuits into
-single NumPy computations).  Estimates at each shot budget are then produced
-by sampling those distributions, which is statistically identical to
-re-running the shot simulator and keeps the full paper-scale configuration
-tractable on a laptop.
+The harness below evaluates exactly this.  Every (state, entanglement)
+pair's exact per-term ``p₊`` comes from one
+:func:`repro.cutting.executor.build_sampling_models` call per sweep: each
+protocol's per-term Pauli transfer matrices are measured once (its term
+circuits on four probe states, one batch through the configured execution
+backend) and applied to every input state's Bloch vector, so no per-state
+term circuit is built or simulated.  Estimates at each shot budget are then
+produced by binomial sampling from those ``p₊``, which is statistically
+identical to re-running the shot simulator and keeps the full paper-scale
+configuration tractable on a laptop.
 """
 
 from __future__ import annotations
@@ -82,15 +83,18 @@ class Figure6Config:
 
         The CLI's ``--store`` flag keys cached result tables on this hash,
         so any change to the sweep parameters (states, shot grid, overlaps,
-        allocation, seed) forces a fresh run.  The execution backend is
-        excluded: every backend produces bitwise-identical tables for the
-        same seed, so results are shared across backends.
+        allocation, seed) or to :data:`~repro._version.ENGINE_VERSION`
+        forces a fresh run.  The execution backend is excluded: every
+        backend produces bitwise-identical tables for the same seed, so
+        results are shared across backends.
         """
+        from repro._version import ENGINE_VERSION
         from repro.utils.serialization import payload_fingerprint
 
         return payload_fingerprint(
             {
                 "experiment": "figure6",
+                "engine_version": ENGINE_VERSION,
                 "num_states": int(self.num_states),
                 "shot_grid": [int(s) for s in self.shot_grid],
                 "overlaps": [float(f) for f in self.overlaps],
@@ -199,12 +203,12 @@ def run_figure6(config: Figure6Config | None = None, seed: SeedLike = None) -> F
     circuits = [state_preparation_circuit(unitary) for unitary in workload.unitaries]
     locations = [CutLocation(qubit=0, position=len(circuit)) for circuit in circuits]
 
-    for overlap_index, overlap in enumerate(config.overlaps):
-        protocol = _protocol_for_overlap(overlap)
+    protocols = [_protocol_for_overlap(overlap) for overlap in config.overlaps]
+    models_per_overlap = build_sampling_models(
+        circuits, locations, protocols, observable="Z", backend=config.backend
+    )
+    for overlap_index, (protocol, models) in enumerate(zip(protocols, models_per_overlap)):
         kappas.append(protocol.kappa)
-        models = build_sampling_models(
-            circuits, locations, protocol, observable="Z", backend=config.backend
-        )
         errors = np.zeros((config.num_states, len(config.shot_grid)))
         for state_index, model in enumerate(models):
             values, _ = model.estimate_sweep(

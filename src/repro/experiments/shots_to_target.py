@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ExperimentError
-from repro.circuits.backends import BACKEND_NAMES, resolve_backend
+from repro.circuits.backends import BACKEND_NAMES
 from repro.cutting.cutter import CutLocation
 from repro.cutting.executor import build_sampling_models
 from repro.cutting.nme_cut import NMEWireCut
@@ -79,22 +79,15 @@ def shots_to_target_error(
 ) -> SweepTable:
     """Measure the shot budget needed per entanglement level to reach the target error.
 
-    One execution-backend instance is resolved for the whole sweep, so the
-    exact per-term outcome distributions built for one entanglement level
-    stay in the shared :class:`~repro.circuits.backends.DistributionCache`
-    and every repeated term circuit — across sweep points and across
-    repeated invocations in the same process — is served from the cache
-    instead of being re-simulated.  The observed ``cache_hits`` /
-    ``cache_misses`` counters are exposed in the result's metadata.  Per
+    The exact sampling models of every entanglement level come from one
+    :func:`~repro.cutting.executor.build_sampling_models` call, and per
     model the whole candidate-budget grid is evaluated with one batched
     binomial draw (:meth:`~repro.cutting.executor.CutSamplingModel.estimate_sweep`).
 
     .. note::
         The batched draws consume the shared RNG stream in a different
-        order than the pre-cache per-budget loop, so seeded results differ
-        from tables recorded before this change (the metadata records
-        ``method = "batched_estimate_sweep"`` to mark the new stream
-        layout); the selection semantics are unchanged.
+        order than a per-budget loop would (the metadata records
+        ``method = "batched_estimate_sweep"`` to mark this stream layout).
 
     Returns a table with, per entanglement level: κ, the measured minimal
     budget (or -1 when no candidate sufficed), the κ²-law prediction relative
@@ -108,20 +101,17 @@ def shots_to_target_error(
 
     circuits = [state_preparation_circuit(unitary) for unitary in workload.unitaries]
     locations = [CutLocation(0, len(circuit)) for circuit in circuits]
-    backend = resolve_backend(config.backend)
-    cache = getattr(backend, "cache", None)
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
-    models_per_overlap: dict[float, list] = {}
-    kappas: dict[float, float] = {}
-    for overlap in config.overlaps:
-        protocol = (
-            TeleportationWireCut() if abs(overlap - 1.0) < 1e-12 else NMEWireCut(k_from_overlap(overlap))
+    protocols = [
+        TeleportationWireCut() if abs(overlap - 1.0) < 1e-12 else NMEWireCut(k_from_overlap(overlap))
+        for overlap in config.overlaps
+    ]
+    kappas = {overlap: protocol.kappa for overlap, protocol in zip(config.overlaps, protocols)}
+    models_per_overlap = dict(
+        zip(
+            config.overlaps,
+            build_sampling_models(circuits, locations, protocols, "Z", backend=config.backend),
         )
-        kappas[overlap] = protocol.kappa
-        models_per_overlap[overlap] = build_sampling_models(
-            circuits, locations, protocol, "Z", backend=backend
-        )
+    )
 
     baseline_kappa = min(kappas.values())
     columns: dict[str, list] = {
@@ -160,7 +150,5 @@ def shots_to_target_error(
             "seed": config.seed,
             "backend": config.backend,
             "method": "batched_estimate_sweep",
-            "cache_hits": None if cache is None else int(cache.hits - hits_before),
-            "cache_misses": None if cache is None else int(cache.misses - misses_before),
         },
     )

@@ -108,11 +108,13 @@ class TestSerialVectorizedIdentical:
     def test_sampling_models_identical(self):
         circuits = [_state_circuit(seed) for seed in range(6)]
         locations = [CutLocation(0, len(c)) for c in circuits]
-        serial = build_sampling_models(circuits, locations, NMEWireCut(0.6), "Z", backend="serial")
-        vectorized = build_sampling_models(
+        (serial,) = build_sampling_models(
+            circuits, locations, [NMEWireCut(0.6)], "Z", backend="serial"
+        )
+        (vectorized,) = build_sampling_models(
             circuits,
             locations,
-            NMEWireCut(0.6),
+            [NMEWireCut(0.6)],
             "Z",
             backend=VectorizedBackend(cache=DistributionCache()),
         )
@@ -150,10 +152,10 @@ class TestProcessPoolAgreement:
     def test_sampling_models_statistical_agreement(self):
         circuits = [_state_circuit(seed) for seed in (41, 43)]
         locations = [CutLocation(0, len(c)) for c in circuits]
-        pool_models = build_sampling_models(
+        (pool_models,) = build_sampling_models(
             circuits,
             locations,
-            NMEWireCut(0.9),
+            [NMEWireCut(0.9)],
             "Z",
             backend=ProcessPoolBackend(max_workers=2, chunk_size=4),
         )

@@ -1,9 +1,12 @@
 """Golden Figure-6 digests: seeded sweeps stay bitwise identical across changes.
 
-The digests were computed before term circuits were assembled from memoised
-gadgets and before shot grids were allocated in one vectorised pass.  Any
-change to term-circuit content, cache keys, shot allocation or random-stream
-consumption changes them.  Each strategy is checked on every backend.
+The digests were computed when term ``p₊`` started coming from per-term
+Pauli transfer matrices instead of simulated per-state term circuits: at
+f = 0.5 both teleport terms' ``p₊`` is ½ in exact arithmetic, and which side
+of ½ the rounding lands on picks NumPy's binomial branch, so the random
+streams after those draws moved.  Any change to the transfer matrices, the
+input-state arithmetic, shot allocation or random-stream consumption changes
+them.  Each strategy is checked on every backend.
 """
 
 import dataclasses
@@ -18,9 +21,9 @@ GOLDEN_CONFIG = Figure6Config(num_states=24, shot_grid=(1, 7, 250, 1000, 5000), 
 
 #: sha256 of ``mean_errors.tobytes()`` per allocation strategy.
 GOLDEN_DIGESTS = {
-    "proportional": "1adce18c6265519dc4aa655dcfba259aa2e079393a5b166c7d3e6647c8b767c4",
-    "uniform": "c6b8e1401609801f11278b5dc46d6578999a81a9989c976e82c4f17e916a67ac",
-    "multinomial": "6d7fa419a99bfa01672e007ff37d92cd32d6ab268cfbdb1609907a0e92443e73",
+    "proportional": "3840fb95bf4e1e8038fb5c6c8cce7f6d2c1842e0fa783f512e925a70579f162e",
+    "uniform": "c7abeff33ecd652b61163851d57ba4bcd6c719944e26626d4ccf6e9c579d636b",
+    "multinomial": "4822d46b9c95d0841c6270b920be9f0fff5793067c2de3a8bb8520c98a42d905",
 }
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.circuits.backends import VectorizedBackend
 from repro.exceptions import ExperimentError
+from repro.experiments import table_to_payload
 from repro.experiments.shots_to_target import ShotsToTargetConfig, shots_to_target_error
 
 
@@ -62,24 +64,30 @@ class TestRun:
         assert predicted[1.0] == pytest.approx(1.0)
         assert predicted[0.5] == pytest.approx(9.0)
 
-    def test_cache_counters_exposed_in_metadata(self, table):
-        assert "cache_hits" in table.metadata
-        assert "cache_misses" in table.metadata
-
-    def test_repeated_run_hits_the_distribution_cache(self):
+    def test_repeated_run_is_bitwise_identical_without_term_circuits(self, monkeypatch):
         config = ShotsToTargetConfig(
             target_error=0.08,
             overlaps=(0.5,),
             num_states=6,
-            candidate_budgets=(100, 400),
+            candidate_budgets=(100, 400, 1600, 6400),
             seed=5,
         )
-        shots_to_target_error(config)
+        submitted = []
+        exact_distributions = VectorizedBackend.exact_distributions
+
+        def spy(backend, circuits):
+            submitted.extend(circuit.name for circuit in circuits)
+            return exact_distributions(backend, circuits)
+
+        monkeypatch.setattr(VectorizedBackend, "exact_distributions", spy)
+        first = shots_to_target_error(config)
         again = shots_to_target_error(config)
-        # Second in-process invocation reuses every exact per-term
-        # distribution from the shared cache instead of re-simulating.
-        assert again.metadata["cache_hits"] >= 6
-        assert again.metadata["cache_misses"] == 0
+        assert first.columns["shots_needed"][0] > 0
+        assert table_to_payload(first) == table_to_payload(again)
+        # Only the protocol's probe circuits reach the backend; no term
+        # circuit of a workload state ("W|0>") is built or simulated.
+        assert submitted
+        assert not [name for name in submitted if name.startswith("W|0>")]
 
     def test_unreachable_target_reports_minus_one(self):
         config = ShotsToTargetConfig(

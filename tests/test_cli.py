@@ -305,3 +305,56 @@ class TestStoreFlags:
         assert "served from store" in captured.err
         # Identical table contents (order included) after the cache round trip.
         assert first.strip() in captured.out
+
+    @staticmethod
+    def _stale_table(name: str):
+        """A table no current sampler produces, to plant under a previous engine's key."""
+        from repro.experiments import SweepTable, table_to_payload
+
+        return table_to_payload(SweepTable(name=name, columns={"stale_marker": [1.0]}))
+
+    def test_figure6_store_ignores_tables_of_the_previous_engine(self, capsys, tmp_path):
+        from repro.experiments import Figure6Config
+        from repro.service import RunStore
+        from repro.utils.serialization import payload_fingerprint
+
+        config = Figure6Config(num_states=2, seed=4)
+        # The key the previous engine stored this table under (no engine version).
+        previous_key = payload_fingerprint(
+            {
+                "experiment": "figure6",
+                "num_states": 2,
+                "shot_grid": [int(s) for s in config.shot_grid],
+                "overlaps": [float(f) for f in config.overlaps],
+                "allocation": config.allocation,
+                "seed": 4,
+            }
+        )
+        assert previous_key != config.fingerprint()
+        store = RunStore(tmp_path / "s")
+        store.put_artifact(previous_key, self._stale_table("figure6_error_vs_shots"))
+        command = ["figure6", "--states", "2", "--seed", "4", "--store", str(tmp_path / "s")]
+        assert main(command) == 0
+        captured = capsys.readouterr()
+        assert "served from store" not in captured.err
+        assert "stale_marker" not in captured.out
+        assert store.get_artifact(config.fingerprint()) is not None
+
+    def test_ablations_store_ignores_tables_of_the_previous_engine(self, capsys, tmp_path):
+        from repro.service import RunStore
+        from repro.utils.serialization import payload_fingerprint
+
+        store = RunStore(tmp_path / "s")
+        parameters = {"states": 2, "shots": 100, "seed": 11}
+        previous_key = payload_fingerprint(
+            {"experiment": "ablations", "table": "allocation", **parameters}
+        )
+        store.put_artifact(previous_key, self._stale_table("allocation_strategy_ablation"))
+        command = ["ablations", "--states", "2", "--shots", "100", "--store", str(tmp_path / "s")]
+        assert main(command) == 0
+        first = capsys.readouterr().out
+        assert "stale_marker" not in first
+        assert "proportional" in first
+        # The recomputed tables are stored under the current keys and served.
+        assert main(command) == 0
+        assert capsys.readouterr().out == first
