@@ -66,7 +66,6 @@ from repro.distributed import WorkUnit, execute_unit
 from repro.experiments import ghz_circuit
 from repro.pipeline import CutPipeline
 from repro.quantum.paulis import PauliString
-from repro.utils.rng import spawn_seed_sequences
 from tests.utils.dense_reference import DenseDensityMatrixSimulator, dense_statevector
 
 #: Speedup floors (paired medians, dense over einsum).
@@ -101,7 +100,7 @@ class DenseReferenceBackend:
         return [DenseDensityMatrixSimulator().run(c).classical_distribution() for c in circuits]
 
     def run_batch(self, circuits, shots, seed=None):
-        return _sample_batch(self, circuits, shots, spawn_seed_sequences(seed, len(circuits)))
+        return _sample_batch(self, circuits, shots, seed)
 
 
 def density_chain(num_qubits: int) -> QuantumCircuit:

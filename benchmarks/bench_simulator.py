@@ -31,7 +31,6 @@ from repro.circuits import (
     DistributionCache,
     ProcessPoolBackend,
     SerialBackend,
-    ShotSimulator,
     StatevectorSimulator,
     VectorizedBackend,
 )
@@ -69,19 +68,9 @@ def test_benchmark_shot_sampling_ghz(benchmark):
     circuit = QuantumCircuit(6, 6, name="ghz_measured")
     circuit.compose(ghz_circuit(6), inplace=True)
     circuit.measure_all()
-    simulator = ShotSimulator(method="exact")
-    counts = benchmark(simulator.run, circuit, 10_000, 7)
+    (counts,) = benchmark(SerialBackend().run_batch, [circuit], [10_000], 7)
     assert counts.shots == 10_000
     assert set(counts.keys()) <= {"000000", "111111"}
-
-
-def test_benchmark_trajectory_sampling(benchmark):
-    """Per-shot trajectory sampling (500 shots) of the teleportation circuit."""
-    message = random_statevector(1, seed=3)
-    circuit = teleportation_circuit(message_state=message, resource=1.0)
-    simulator = ShotSimulator(method="trajectory")
-    counts = benchmark(simulator.run, circuit, 500, 11)
-    assert counts.shots == 500
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ resource that can be traded against shots.
 
 import numpy as np
 
-from repro.cutting import CutLocation, NMEWireCut, TeleportationWireCut, build_sampling_model
+from repro.cutting import CutLocation, NMEWireCut, TeleportationWireCut, build_sampling_models
 from repro.cutting.overhead import expected_pairs_per_shot, optimal_overhead
 from repro.experiments import random_single_qubit_states, state_preparation_circuit
 from repro.quantum import k_from_overlap
@@ -38,14 +38,19 @@ def main() -> None:
     )
     print("-" * 60)
 
+    circuits = [state_preparation_circuit(unitary) for unitary in workload.unitaries]
+    locations = [CutLocation(0, len(circuit)) for circuit in circuits]
+    protocols = [
+        TeleportationWireCut() if overlap >= 1.0 else NMEWireCut(k_from_overlap(float(overlap)))
+        for overlap in overlaps
+    ]
+    all_models = build_sampling_models(circuits, locations, protocols, "Z")
+
     rng = np.random.default_rng(SEED)
-    for overlap in overlaps:
+    for overlap, models in zip(overlaps, all_models):
         k = k_from_overlap(float(overlap))
-        protocol = TeleportationWireCut() if overlap >= 1.0 else NMEWireCut(k)
         errors = []
-        for unitary in workload.unitaries:
-            circuit = state_preparation_circuit(unitary)
-            model = build_sampling_model(circuit, CutLocation(0, len(circuit)), protocol, "Z")
+        for model in models:
             result = model.estimate(SHOTS, seed=rng)
             errors.append(abs(result.value - model.exact_value))
         pairs = 1.0 if overlap >= 1.0 else expected_pairs_per_shot(k)

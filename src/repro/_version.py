@@ -7,4 +7,6 @@ __version__ = "1.0.0"
 #: outputs bumps it and no table computed by the previous sampler is served.
 #: 2: Figure-6-style sampling models take term ``p₊`` from per-term Pauli
 #: transfer matrices.
-ENGINE_VERSION = 2
+#: 3: gate-cut estimates and sampled Pauli expectations draw their shots
+#: through the serial backend's per-circuit streams.
+ENGINE_VERSION = 3

@@ -10,13 +10,12 @@ Public API
 :class:`DensityMatrixSimulator`
     Exact simulation of the full instruction set with per-classical-branch
     density matrices.
-:class:`ShotSimulator`
-    Finite-shot sampling (exact-distribution or trajectory methods).
 :class:`Counts`
     Outcome histograms.
 :class:`SimulatorBackend` implementations
     Batched execution of circuit collections (serial, vectorized,
-    process-pool) behind one interface; see :mod:`repro.circuits.backends`.
+    process-pool) behind one interface, and the only place shots are
+    sampled; see :mod:`repro.circuits.backends`.
 
 Every simulator and backend applies gates with the axis-local tensor
 contractions of :mod:`repro.circuits.kernels`.
@@ -51,7 +50,6 @@ from repro.circuits.expectation import (
 from repro.circuits.instruction import Instruction
 from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.serialization import circuit_from_payload, circuit_to_payload
-from repro.circuits.shot_simulator import ShotSimulator, run_and_sample
 from repro.circuits.statevector_simulator import StatevectorSimulator, simulate_statevector
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
     "simulate_density_matrix",
     "BranchedResult",
     "Branch",
-    "ShotSimulator",
-    "run_and_sample",
     "exact_expectation",
     "sampled_pauli_expectation",
     "measurement_basis_change",

@@ -12,9 +12,9 @@ Available backends
 
 =====================  ======================================================
 ``SerialBackend``      One circuit at a time, in submission order, through
-                       the live-width engine as a batch of one.  Supports
-                       the ``trajectory`` method; the reference
-                       implementation every other backend must agree with.
+                       the live-width engine as a batch of one; the
+                       reference implementation every other backend must
+                       agree with.
 ``VectorizedBackend``  Groups structurally identical circuits, executes each
                        group as one ``(batch, dim, dim)`` NumPy computation
                        (:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`),
@@ -39,10 +39,13 @@ Determinism contract
 
 ``run_batch(circuits, shots, seed)`` derives one independent child stream per
 circuit from ``seed`` (:func:`~repro.utils.rng.spawn_seed_sequences`) and
-samples circuit ``i`` exclusively from stream ``i``.  Consequently the same
-seed yields the *same* :class:`~repro.circuits.counts.Counts` list from every
-backend, regardless of grouping, chunking or worker count — cross-backend
-agreement is a hard guarantee, not a statistical one.
+samples circuit ``i`` exclusively from stream ``i``, with one multinomial over
+the circuit's exact distribution.  Every backend here (and the noisy device
+backend) runs that one sampler over its own ``exact_distributions``.
+Consequently the same seed yields the *same*
+:class:`~repro.circuits.counts.Counts` list from every backend, regardless of
+grouping, chunking or worker count — cross-backend agreement is a hard
+guarantee, not a statistical one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from repro.telemetry.metrics import REGISTRY
 from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, structure_signature
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
-from repro.circuits.shot_simulator import ShotSimulator
 from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 __all__ = [
@@ -208,37 +210,31 @@ def _check_batch(circuits: Sequence[QuantumCircuit], shots: Sequence[int]) -> No
             raise ValueError(f"shots must be non-negative, got {count}")
 
 
-def _sample_distribution(
-    distribution: dict[str, float],
-    shots: int,
-    num_clbits: int,
-    seed: np.random.SeedSequence,
-) -> Counts:
-    """Draw a circuit's full shot budget with one multinomial over its distribution."""
-    if shots == 0:
-        return Counts({}, num_clbits=num_clbits)
-    return Counts.from_probabilities(
-        distribution, shots=shots, num_clbits=num_clbits, seed=np.random.default_rng(seed)
-    )
-
-
 def _sample_batch(
     backend: "SimulatorBackend",
     circuits: Sequence[QuantumCircuit],
     shots: Sequence[int],
-    children: Sequence[np.random.SeedSequence],
+    seed: SeedLike,
 ) -> list[Counts]:
-    """Sample every circuit from its own stream, simulating only sampled ones.
+    """The one shot sampler: ``run_batch`` over ``backend``'s exact distributions.
 
-    Circuits allocated zero shots return empty counts without paying for a
-    distribution (mirroring the serial backend, which never simulates them).
+    Circuit ``i`` draws its whole budget with one multinomial from the
+    ``i``-th stream spawned from ``seed``.  Circuits allocated zero shots
+    return empty counts without paying for a distribution.
     """
+    _check_batch(circuits, shots)
+    children = spawn_seed_sequences(seed, len(circuits))
     active = [index for index, count in enumerate(shots) if count > 0]
     distributions = dict(
         zip(active, backend.exact_distributions([circuits[index] for index in active]))
     )
     return [
-        _sample_distribution(distributions[index], int(count), circuit.num_clbits, child)
+        Counts.from_probabilities(
+            distributions[index],
+            shots=int(count),
+            num_clbits=circuit.num_clbits,
+            seed=np.random.default_rng(child),
+        )
         if index in distributions
         else Counts({}, num_clbits=circuit.num_clbits)
         for index, (circuit, count, child) in enumerate(zip(circuits, shots, children))
@@ -251,16 +247,13 @@ class SerialBackend:
     Exact distributions come from the same live-width engine as the
     vectorized backend, run as a batch of one per circuit, and ``run_batch``
     samples them through the shared per-circuit streams — so serial results
-    are the bitwise reference every other backend agrees with.  This is the
-    only backend supporting the ``trajectory`` method.
+    are the bitwise reference every other backend agrees with.
     """
 
     name = "serial"
 
-    def __init__(self, method: str = "exact"):
-        self._simulator = ShotSimulator(method=method)
+    def __init__(self):
         self._engine = BatchedDensityMatrixSimulator()
-        self.method = method
 
     def run_batch(
         self,
@@ -268,16 +261,7 @@ class SerialBackend:
         shots: Sequence[int],
         seed: SeedLike = None,
     ) -> list[Counts]:
-        _check_batch(circuits, shots)
-        children = spawn_seed_sequences(seed, len(circuits))
-        if self.method == "exact":
-            return _sample_batch(self, circuits, shots, children)
-        return [
-            self._simulator.run(circuit, shots=int(count), seed=np.random.default_rng(child))
-            if count > 0
-            else Counts({}, num_clbits=circuit.num_clbits)
-            for circuit, count, child in zip(circuits, shots, children)
-        ]
+        return _sample_batch(self, circuits, shots, seed)
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
@@ -308,9 +292,7 @@ class VectorizedBackend:
         shots: Sequence[int],
         seed: SeedLike = None,
     ) -> list[Counts]:
-        _check_batch(circuits, shots)
-        children = spawn_seed_sequences(seed, len(circuits))
-        return _sample_batch(self, circuits, shots, children)
+        return _sample_batch(self, circuits, shots, seed)
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
@@ -347,32 +329,24 @@ def _pool_worker_distributions(circuits: list[QuantumCircuit]) -> list[dict[str,
     return VectorizedBackend(cache=DistributionCache()).exact_distributions(circuits)
 
 
-def _pool_worker_run(
-    payload: tuple[list[QuantumCircuit], list[int], list[np.random.SeedSequence]],
-) -> list[Counts]:
-    """Worker entry point: sample one chunk with pre-spawned per-circuit streams."""
-    circuits, shots, children = payload
-    return _sample_batch(VectorizedBackend(cache=DistributionCache()), circuits, shots, children)
-
-
 class ProcessPoolBackend:
     """Multi-process backend: chunk the batch across worker processes.
 
-    Each worker runs the vectorized path on its chunk.  Because per-circuit
-    sample streams are spawned in the parent and shipped with the chunk, the
-    results are identical to the other backends for the same seed, whatever
-    the chunking or worker count.  Worth it for wide sweeps whose batch
-    splits into many structure groups; for small batches the fork/pickle
-    overhead dominates and :class:`VectorizedBackend` is the better choice.
+    Each worker computes the exact distributions of its chunk on the
+    vectorized path; the parent then samples every circuit from its own
+    stream, like every other backend, so the results are identical for the
+    same seed whatever the chunking or worker count.  Worth it for wide
+    sweeps whose batch splits into many structure groups; for small batches
+    the fork/pickle overhead dominates and :class:`VectorizedBackend` is the
+    better choice.
 
     The backend owns a persistent :class:`DistributionCache` used whenever a
     batch is small enough to run in-process (the single-chunk fast path), so
-    repeated sweep points reuse distributions *and* the ``cache.hits`` /
-    ``cache.misses`` accounting survives across calls — previously every
-    call built a throwaway cache and the stats were lost.  Multi-chunk
-    batches still use worker-local caches (worker processes cannot share
-    the parent's), whose stats only surface through the process-wide
-    metrics counters of each worker.
+    repeated sweep points reuse distributions and the ``cache.hits`` /
+    ``cache.misses`` accounting survives across calls.  Multi-chunk batches
+    use worker-local caches (worker processes cannot share the parent's),
+    whose stats only surface through the process-wide metrics counters of
+    each worker.
     """
 
     name = "process-pool"
@@ -403,34 +377,7 @@ class ProcessPoolBackend:
         shots: Sequence[int],
         seed: SeedLike = None,
     ) -> list[Counts]:
-        _check_batch(circuits, shots)
-        children = spawn_seed_sequences(seed, len(circuits))
-        chunks = self._chunks(len(circuits))
-        if len(chunks) <= 1:
-            # Run the single chunk in-process, with the streams already
-            # spawned above — the generator passed as `seed` has been
-            # consumed, so re-deriving children from it would break the
-            # cross-backend determinism contract.
-            return _sample_batch(
-                VectorizedBackend(cache=self.cache),
-                list(circuits),
-                [int(s) for s in shots],
-                children,
-            )
-        payloads = [
-            (
-                [circuits[i] for i in chunk],
-                [int(shots[i]) for i in chunk],
-                [children[i] for i in chunk],
-            )
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            chunk_results = list(pool.map(_pool_worker_run, payloads))
-        results: list[Counts] = []
-        for chunk_result in chunk_results:
-            results.extend(chunk_result)
-        return results
+        return _sample_batch(self, circuits, shots, seed)
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
@@ -447,35 +394,20 @@ class ProcessPoolBackend:
         return results
 
 
-def resolve_backend(backend: SimulatorBackend | str | None, method: str = "exact") -> SimulatorBackend:
+def resolve_backend(backend: SimulatorBackend | str | None) -> SimulatorBackend:
     """Return a backend instance for a name, an instance, or ``None`` (default).
 
-    ``None`` resolves to :class:`SerialBackend` with the requested shot-simulator
-    ``method``, preserving the pre-backend behaviour of the executor.  A
-    non-``exact`` method is only available serially, so asking any other
-    backend for it is an error.  Instances (including
+    ``None`` resolves to :class:`SerialBackend`.  Instances (including
     :class:`~repro.devices.NoisyDeviceBackend` and
     :class:`~repro.devices.DeviceFleet`) pass through unchanged.
     """
     if backend is None:
-        return SerialBackend(method=method)
+        return SerialBackend()
     if not isinstance(backend, str):
-        if method != "exact":
-            if not isinstance(backend, SerialBackend):
-                raise SimulationError(
-                    f"method {method!r} requires the serial backend, got {type(backend).__name__}"
-                )
-            if backend.method != method:
-                raise SimulationError(
-                    f"method {method!r} was requested but the supplied SerialBackend "
-                    f"uses method {backend.method!r}"
-                )
         return backend
     name = backend.lower().replace("_", "-")
-    if name != "serial" and method != "exact":
-        raise SimulationError(f"method {method!r} requires the serial backend, got {name!r}")
     if name == "serial":
-        return SerialBackend(method=method)
+        return SerialBackend()
     if name == "vectorized":
         return VectorizedBackend()
     if name == "process-pool":

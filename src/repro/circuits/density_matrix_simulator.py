@@ -8,9 +8,11 @@ applied only to the branches whose classical bits satisfy the condition.
 
 The number of branches is at most ``2^{#measurements}``, which is tiny for
 the teleportation and wire-cut circuits (≤ 3 measurements), so this is both
-exact and fast.  The exact classical-outcome distribution it produces is what
-the fast "exact sampling" mode of :class:`~repro.circuits.shot_simulator.ShotSimulator`
-draws from.
+exact and fast.  It serves callers that need the branch states themselves
+(:class:`BranchedResult`) and the gate-noise path of
+:class:`~repro.devices.NoisyDeviceBackend`; finite-shot samples come from the
+backends of :mod:`repro.circuits.backends`, which draw from the live-width
+engine's exact distributions.
 
 Gates, measurement, reset and initialise run on the axis-local kernels of
 :mod:`repro.circuits.kernels`: the density matrix is viewed as a rank-``2n``

@@ -13,10 +13,9 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.circuits.backends import SerialBackend
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.shot_simulator import ShotSimulator
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.quantum.paulis import PauliString
 from repro.quantum.states import DensityMatrix, Statevector
@@ -112,10 +111,11 @@ def sampled_pauli_expectation(
     shots: int,
     qubits: Sequence[int] | None = None,
     seed: SeedLike = None,
-    method: str = "exact",
-    initial_state: Statevector | np.ndarray | None = None,
 ) -> float:
     """Estimate a Pauli expectation value of the circuit output by sampling.
+
+    The measured circuit runs as a batch of one through
+    :class:`~repro.circuits.backends.SerialBackend`.
 
     Parameters
     ----------
@@ -137,7 +137,5 @@ def sampled_pauli_expectation(
     if all(label == "I" for label in pauli_labels):
         return 1.0
     measured, observable_clbits = measured_pauli_circuit(circuit, zip(qubits, pauli_labels))
-    counts: Counts = ShotSimulator(method=method).run(
-        measured, shots=shots, seed=seed, initial_state=initial_state
-    )
+    (counts,) = SerialBackend().run_batch([measured], [shots], seed=seed)
     return counts.expectation_z(observable_clbits)

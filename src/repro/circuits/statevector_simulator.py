@@ -2,7 +2,7 @@
 
 The statevector simulator evolves an initial state through every gate of a
 unitary circuit.  Circuits containing measurement, reset or initialize
-instructions must use the density-matrix or shot simulators instead — except
+instructions must use the density-matrix simulator or a backend instead — except
 that *trailing* measurements are tolerated and simply ignored, which lets a
 single circuit be reused for exact and sampled evaluation.
 
@@ -62,17 +62,17 @@ class StatevectorSimulator:
             if instruction.kind != GATE:
                 raise SimulationError(
                     f"StatevectorSimulator cannot execute {instruction.kind!r} instructions; "
-                    "use DensityMatrixSimulator or ShotSimulator"
+                    "use DensityMatrixSimulator or a SimulatorBackend"
                 )
             if seen_measurement:
                 raise SimulationError(
                     "circuit applies gates after measurement; use DensityMatrixSimulator "
-                    "or ShotSimulator for mid-circuit measurement"
+                    "or a SimulatorBackend for mid-circuit measurement"
                 )
             if instruction.is_conditional:
                 raise SimulationError(
-                    "classically conditioned gates require ShotSimulator or "
-                    "DensityMatrixSimulator"
+                    "classically conditioned gates require DensityMatrixSimulator or "
+                    "a SimulatorBackend"
                 )
             qubits = list(instruction.qubits)
             start = time.perf_counter()

@@ -14,7 +14,7 @@ Two views of every term are maintained and kept consistent:
 * **operational** — a gadget builder that appends the term's circuit
   fragment (measurements, classically conditioned preparations,
   teleportation) to a larger circuit, used by the cutter/executor to run the
-  protocol on the shot simulator exactly as a distributed device pair would.
+  protocol on a simulator backend exactly as a distributed device pair would.
 """
 
 from __future__ import annotations

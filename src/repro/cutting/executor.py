@@ -185,8 +185,9 @@ def _measured_term_circuit(
 ) -> tuple[QuantumCircuit, tuple[int, ...]]:
     """Append observable basis changes and measurements to a term circuit.
 
-    ``term_circuit`` is a single-cut :class:`~repro.cutting.cutter.CutTermCircuit`
-    or a :class:`~repro.cutting.multi_wire.MultiCutTermCircuit`; the
+    ``term_circuit`` is a single-cut :class:`~repro.cutting.cutter.CutTermCircuit`,
+    a :class:`~repro.cutting.multi_wire.MultiCutTermCircuit` or a
+    :class:`~repro.cutting.gate_cutting.GateCutTermCircuit`; the
     observable's logical qubits are routed through its ``qubit_map``.
     Returns the measured circuit and the classical bits holding the
     observable outcomes.
@@ -464,7 +465,6 @@ def estimate_cut_expectation(
     shots: int = 1000,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
     backend: SimulatorBackend | str | None = None,
     mode: str = "static",
@@ -499,8 +499,6 @@ def estimate_cut_expectation(
         Shot-allocation strategy (``proportional``, ``multinomial``, ``uniform``).
     seed:
         Seed or generator for all sampling (see :func:`execute_terms`).
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend only).
     compute_exact:
         Also compute the exact uncut value for error reporting.
     backend:
@@ -528,7 +526,7 @@ def estimate_cut_expectation(
     pauli = _as_pauli(observable, circuit.num_qubits)
     term_circuits = build_cut_circuits(circuit, location, protocol)
     source = BackendRoundExecutor(
-        resolve_backend(backend, method=method), *_measured_batch(term_circuits, pauli)
+        resolve_backend(backend), *_measured_batch(term_circuits, pauli)
     )
     exact_value = (
         exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
@@ -1089,7 +1087,6 @@ def cut_expectation_value(
     observable: str | PauliString = "Z",
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     backend: SimulatorBackend | str | None = None,
 ) -> CutExpectationResult:
     """Estimate ``⟨O⟩`` of a single-qubit ``state`` transmitted through a cut wire.
@@ -1108,6 +1105,5 @@ def cut_expectation_value(
         shots=shots,
         allocation=allocation,
         seed=seed,
-        method=method,
         backend=backend,
     )

@@ -23,8 +23,8 @@ The overhead is ``κ = 1 + 2|sin 2θ|``, i.e. κ = 3 for CZ — the known optima
 value, matching the entanglement-free wire cut.  The decomposition is
 verified numerically at construction time, and the gadget builders realise
 each term with mid-circuit measurements and local rotations so gate cuts can
-be executed end-to-end on the shot simulator and compared against wire cuts
-in the ablation benchmarks.
+be executed end-to-end through the same term executor and backend seam as
+wire cuts, and compared against them in the ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -35,15 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import CuttingError
+from repro.circuits.backends import SerialBackend
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import exact_expectation, measured_pauli_circuit
-from repro.circuits.shot_simulator import ShotSimulator
-from repro.qpd.allocation import allocate_shots
+from repro.circuits.expectation import exact_expectation
 from repro.qpd.decomposition import QuasiProbDecomposition
-from repro.qpd.estimator import TermEstimate, combine_term_estimates
 from repro.qpd.terms import QPDTerm
 from repro.quantum.paulis import PauliString
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "GateCutTerm",
@@ -306,6 +304,11 @@ class GateCutTermCircuit:
         """The term's quasiprobability coefficient."""
         return self.term.coefficient
 
+    @property
+    def qubit_map(self) -> range:
+        """Logical → physical qubits: a gate cut adds none, so the identity."""
+        return range(self.circuit.num_qubits)
+
 
 def build_gate_cut_circuits(
     circuit: QuantumCircuit,
@@ -354,54 +357,25 @@ def estimate_gate_cut_expectation(
     shots: int,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
 ):
     """Estimate a Pauli observable of ``circuit`` with the gate at ``gate_index`` cut.
 
-    Returns a :class:`~repro.cutting.executor.CutExpectationResult`.
+    The term circuits are measured and run through the serial backend under
+    :func:`~repro.cutting.executor.execute_terms`, like every wire-cut
+    estimator's.  Returns a :class:`~repro.cutting.executor.CutExpectationResult`.
     """
-    from repro.cutting.executor import CutExpectationResult, _as_pauli
+    from repro.cutting.executor import BackendRoundExecutor, _as_pauli, _estimate, _measured_batch
 
-    rng = as_generator(seed)
     pauli = _as_pauli(observable, circuit.num_qubits)
-    decomposition = protocol.decomposition()
-    shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy=allocation, seed=rng)
     term_circuits = build_gate_cut_circuits(circuit, gate_index, protocol)
-    simulator = ShotSimulator(method=method)
-
-    term_estimates = []
-    for term_circuit, term_shots in zip(term_circuits, shots_per_term):
-        if term_shots == 0:
-            term_estimates.append(
-                TermEstimate(
-                    coefficient=term_circuit.coefficient, mean=0.0, shots=0, label=term_circuit.term.label
-                )
-            )
-            continue
-        measured, observable_clbits = measured_pauli_circuit(
-            term_circuit.circuit, enumerate(pauli.labels)
-        )
-        counts = simulator.run(measured, shots=int(term_shots), seed=rng)
-        selected = observable_clbits + list(term_circuit.sign_clbits)
-        mean = counts.expectation_z(selected) if selected else 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=term_circuit.coefficient,
-                mean=mean,
-                shots=int(term_shots),
-                label=term_circuit.term.label,
-            )
-        )
-    estimate = combine_term_estimates(term_estimates)
-    exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
-    return CutExpectationResult(
-        value=estimate.value,
-        standard_error=estimate.standard_error,
-        total_shots=estimate.total_shots,
-        kappa=estimate.kappa,
-        shots_per_term=tuple(int(s) for s in shots_per_term),
-        term_estimates=estimate.term_estimates,
-        protocol_name=protocol.name,
-        exact_value=exact_value,
+    return _estimate(
+        BackendRoundExecutor(SerialBackend(), *_measured_batch(term_circuits, pauli)),
+        [term_circuit.coefficient for term_circuit in term_circuits],
+        [term_circuit.term.label for term_circuit in term_circuits],
+        shots,
+        protocol.name,
+        exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None,
+        seed=seed,
+        allocation=allocation,
     )

@@ -232,7 +232,6 @@ def estimate_multi_cut_expectation(
     shots: int,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
     backend: SimulatorBackend | str | None = None,
     mode: str = "static",
@@ -270,9 +269,6 @@ def estimate_multi_cut_expectation(
     seed:
         Seed or generator for all sampling (see
         :func:`~repro.cutting.executor.execute_terms`).
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend
-        only).
     compute_exact:
         Also compute the exact uncut value for error reporting.
     backend:
@@ -303,7 +299,7 @@ def estimate_multi_cut_expectation(
     pauli = _as_pauli(observable, circuit.num_qubits)
     term_circuits = build_multi_cut_circuits(circuit, locations, protocols)
     source = BackendRoundExecutor(
-        resolve_backend(backend, method=method), *_measured_batch(term_circuits, pauli)
+        resolve_backend(backend), *_measured_batch(term_circuits, pauli)
     )
     exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
     return _estimate(

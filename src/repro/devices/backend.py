@@ -37,7 +37,6 @@ from collections.abc import Sequence
 from repro.circuits.backends import (
     DistributionCache,
     SimulatorBackend,
-    _check_batch,
     _sample_batch,
     circuit_fingerprint,
     default_distribution_cache,
@@ -47,7 +46,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.devices.noise_model import NoiseModel
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike
 
 __all__ = ["NoisyDeviceBackend", "noisy_cache_key"]
 
@@ -110,12 +109,10 @@ class NoisyDeviceBackend:
         """Sample ``shots[i]`` noisy outcomes of ``circuits[i]`` for every ``i``."""
         if self.noise.is_noiseless:
             return self.inner.run_batch(circuits, shots, seed=seed)
-        _check_batch(circuits, shots)
-        children = spawn_seed_sequences(seed, len(circuits))
-        # The shared sampling helper calls back into exact_distributions, so
+        # The shared sampler calls back into exact_distributions, so
         # zero-shot circuits skip the (noisy) simulation exactly as they do
         # on the ideal backends.
-        return _sample_batch(self, circuits, shots, children)
+        return _sample_batch(self, circuits, shots, seed)
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]

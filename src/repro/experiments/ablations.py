@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import build_sampling_model
+from repro.cutting.executor import build_sampling_models
 from repro.cutting.gate_cutting import CZGateCut, estimate_gate_cut_expectation
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.noise import (
@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+def _workload_models(workload, protocols) -> list[list]:
+    """⟨Z⟩ sampling models of every workload state, cut at the end, per protocol."""
+    circuits = [state_preparation_circuit(unitary) for unitary in workload.unitaries]
+    locations = [CutLocation(0, len(circuit)) for circuit in circuits]
+    return build_sampling_models(circuits, locations, protocols, "Z")
+
+
 def allocation_strategy_ablation(
     num_states: int = 30,
     shots: int = 2000,
@@ -67,12 +74,7 @@ def allocation_strategy_ablation(
     state_rngs = spawn_generators(rng, num_states)
 
     columns: dict[str, list] = {"strategy": [], "shots": [], "mean_error": [], "overlap_f": []}
-    models = []
-    for unitary in workload.unitaries:
-        circuit = state_preparation_circuit(unitary)
-        models.append(
-            build_sampling_model(circuit, CutLocation(0, len(circuit)), protocol, "Z")
-        )
+    (models,) = _workload_models(workload, [protocol])
     for strategy in strategies:
         errors = []
         for model, state_rng in zip(models, state_rngs):
@@ -106,11 +108,10 @@ def protocol_error_comparison(
     ]
     columns: dict[str, list] = {"protocol": [], "kappa": [], "shots": [], "mean_error": []}
     state_rngs = spawn_generators(rng, num_states)
-    for name, protocol in protocols:
+    all_models = _workload_models(workload, [protocol for _, protocol in protocols])
+    for (name, protocol), models in zip(protocols, all_models):
         errors = []
-        for unitary, state_rng in zip(workload.unitaries, state_rngs):
-            circuit = state_preparation_circuit(unitary)
-            model = build_sampling_model(circuit, CutLocation(0, len(circuit)), protocol, "Z")
+        for model, state_rng in zip(models, state_rngs):
             result = model.estimate(shots, seed=state_rng)
             errors.append(abs(result.value - model.exact_value))
         columns["protocol"].append(name)

@@ -19,7 +19,7 @@ circuits on four probe states, one batch through the configured execution
 backend) and applied to every input state's Bloch vector, so no per-state
 term circuit is built or simulated.  Estimates at each shot budget are then
 produced by binomial sampling from those ``p₊``, which is statistically
-identical to re-running the shot simulator and keeps the full paper-scale
+identical to sampling the term circuits shot by shot and keeps the full paper-scale
 configuration tractable on a laptop.
 """
 

@@ -2,8 +2,8 @@
 
 Both classes are thin, immutable-by-convention wrappers around NumPy arrays.
 They validate their data on construction, expose the operations the rest of
-the library needs (evolution, expectation values, partial trace, sampling)
-and convert freely between each other.
+the library needs (evolution, expectation values, partial trace, outcome
+probabilities) and convert freely between each other.
 
 Qubit ordering is big-endian throughout: qubit 0 is the most significant bit
 of a basis label, i.e. ``|q0 q1 ... q_{n-1}>``.
@@ -25,7 +25,6 @@ from repro.utils.linalg import (
     num_qubits_from_dim,
     outer,
 )
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["Statevector", "DensityMatrix"]
 
@@ -191,26 +190,6 @@ class Statevector:
         evolved = self.evolve(operator, qubits)
         return complex(np.vdot(self._data, evolved._data))
 
-    def sample_counts(
-        self, shots: int, seed: SeedLike = None, qubits: Sequence[int] | None = None
-    ) -> dict[str, int]:
-        """Sample measurement outcomes in the computational basis.
-
-        Returns a mapping from bitstrings (qubit 0 leftmost) to counts.
-        """
-        if shots < 0:
-            raise ValueError(f"shots must be non-negative, got {shots}")
-        rng = as_generator(seed)
-        probabilities = self.probabilities(qubits)
-        num_bits = self.num_qubits if qubits is None else len(list(qubits))
-        if shots == 0:
-            return {}
-        outcomes = rng.multinomial(shots, probabilities)
-        counts: dict[str, int] = {}
-        for index in np.flatnonzero(outcomes):
-            counts[format(index, f"0{num_bits}b")] = int(outcomes[index])
-        return counts
-
     # -- conversions ---------------------------------------------------------
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -367,21 +346,3 @@ class DensityMatrix:
                 f"operator shape {operator.shape} does not match state dim {self.dim}"
             )
         return complex(np.trace(operator @ self._data))
-
-    def sample_counts(self, shots: int, seed: SeedLike = None) -> dict[str, int]:
-        """Sample computational-basis outcomes from the diagonal of ρ."""
-        if shots < 0:
-            raise ValueError(f"shots must be non-negative, got {shots}")
-        if shots == 0:
-            return {}
-        rng = as_generator(seed)
-        probabilities = self.probabilities()
-        total = probabilities.sum()
-        if total <= 0:
-            raise StateError("density matrix has no positive diagonal weight")
-        probabilities = probabilities / total
-        outcomes = rng.multinomial(shots, probabilities)
-        counts: dict[str, int] = {}
-        for index in np.flatnonzero(outcomes):
-            counts[format(index, f"0{self.num_qubits}b")] = int(outcomes[index])
-        return counts

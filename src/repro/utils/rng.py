@@ -1,6 +1,6 @@
 """Deterministic random-number-generator plumbing.
 
-Every stochastic component of the library (shot simulator, QPD sampler,
+Every stochastic component of the library (execution backends, QPD sampler,
 workload generators, benchmark harness) accepts a ``seed`` argument that is
 converted into a :class:`numpy.random.Generator` by :func:`as_generator`.
 Passing an existing generator threads the same stream through nested

@@ -281,22 +281,6 @@ class TestResolveBackend:
         with pytest.raises(SimulationError):
             resolve_backend("quantum-cloud")
 
-    def test_trajectory_requires_serial(self):
-        backend = resolve_backend(None, method="trajectory")
-        assert isinstance(backend, SerialBackend) and backend.method == "trajectory"
-        with pytest.raises(SimulationError):
-            resolve_backend("vectorized", method="trajectory")
-        with pytest.raises(SimulationError):
-            resolve_backend(VectorizedBackend(), method="trajectory")
-
-    def test_method_mismatch_on_serial_instance_rejected(self):
-        """A trajectory request must not be silently downgraded by an
-        exact-method SerialBackend instance."""
-        with pytest.raises(SimulationError):
-            resolve_backend(SerialBackend(method="exact"), method="trajectory")
-        trajectory = SerialBackend(method="trajectory")
-        assert resolve_backend(trajectory, method="trajectory") is trajectory
-
     def test_zero_shot_circuits_not_simulated(self):
         cache = DistributionCache()
         backend = VectorizedBackend(cache=cache)

@@ -8,7 +8,6 @@ from repro.circuits import density_matrix_simulator
 from repro.circuits.backends import DistributionCache
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator, simulate_density_matrix
-from repro.circuits.shot_simulator import ShotSimulator
 from repro.devices import NoiseModel, NoisyDeviceBackend
 from repro.quantum.measures import state_fidelity
 from repro.quantum.random import random_statevector
@@ -180,12 +179,11 @@ class TestResourceLimits:
         "run",
         [
             simulate_density_matrix,
-            lambda circuit: ShotSimulator().run(circuit, shots=10, seed=0),
             lambda circuit: NoisyDeviceBackend(
                 NoiseModel(depolarizing_1q=0.01), cache=DistributionCache()
             ).exact_distributions([circuit]),
         ],
-        ids=["density-matrix", "exact-shots", "gate-noise"],
+        ids=["density-matrix", "gate-noise"],
     )
     def test_wide_circuit_raises_before_allocating(self, monkeypatch, run):
         def no_allocation(*args, **kwargs):

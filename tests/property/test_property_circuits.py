@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.backends import SerialBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import simulate_density_matrix
-from repro.circuits.shot_simulator import run_and_sample
 from repro.circuits.statevector_simulator import simulate_statevector
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -69,7 +69,7 @@ class TestSimulatorConsistency:
         num_qubits, gates = spec
         circuit = _build(num_qubits, gates, num_clbits=num_qubits)
         circuit.measure_all()
-        counts = run_and_sample(circuit, 4000, seed=seed)
+        (counts,) = SerialBackend().run_batch([circuit], [4000], seed=seed)
         probabilities = np.abs(simulate_statevector(_build(num_qubits, gates)).data) ** 2
         for index, probability in enumerate(probabilities):
             key = format(index, f"0{num_qubits}b")
@@ -82,4 +82,5 @@ class TestSimulatorConsistency:
         circuit = _build(num_qubits, gates, num_clbits=num_qubits)
         circuit.measure_all()
         shots = 137
-        assert run_and_sample(circuit, shots, seed=seed).shots == shots
+        (counts,) = SerialBackend().run_batch([circuit], [shots], seed=seed)
+        assert counts.shots == shots

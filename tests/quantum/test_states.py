@@ -99,22 +99,6 @@ class TestStatevectorMeasurement:
         assert state.expectation_value(Z, [0]).real == pytest.approx(1.0)
         assert state.expectation_value(Z, [1]).real == pytest.approx(-1.0)
 
-    def test_sample_counts_deterministic_state(self):
-        counts = Statevector("10").sample_counts(100, seed=0)
-        assert counts == {"10": 100}
-
-    def test_sample_counts_statistics(self):
-        plus = Statevector(np.array([1, 1]) / np.sqrt(2))
-        counts = plus.sample_counts(10_000, seed=1)
-        assert abs(counts["0"] - 5000) < 300
-
-    def test_sample_counts_zero_shots(self):
-        assert Statevector("0").sample_counts(0) == {}
-
-    def test_sample_counts_negative_shots(self):
-        with pytest.raises(ValueError):
-            Statevector("0").sample_counts(-1)
-
 
 class TestStatevectorConversion:
     def test_to_density_matrix(self):
@@ -185,11 +169,6 @@ class TestDensityMatrix:
     def test_expectation_value(self):
         rho = DensityMatrix.maximally_mixed(1)
         assert rho.expectation_value(Z).real == pytest.approx(0.0)
-
-    def test_sample_counts(self):
-        rho = DensityMatrix.maximally_mixed(1)
-        counts = rho.sample_counts(2000, seed=3)
-        assert abs(counts["0"] - 1000) < 150
 
     def test_eigenvalues(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))

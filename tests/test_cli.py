@@ -340,14 +340,21 @@ class TestStoreFlags:
         assert "stale_marker" not in captured.out
         assert store.get_artifact(config.fingerprint()) is not None
 
-    def test_ablations_store_ignores_tables_of_the_previous_engine(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "previous_engine",
+        [{}, {"engine_version": 2}],
+        ids=["unversioned", "engine-2"],
+    )
+    def test_ablations_store_ignores_tables_of_the_previous_engine(
+        self, capsys, tmp_path, previous_engine
+    ):
         from repro.service import RunStore
         from repro.utils.serialization import payload_fingerprint
 
         store = RunStore(tmp_path / "s")
         parameters = {"states": 2, "shots": 100, "seed": 11}
         previous_key = payload_fingerprint(
-            {"experiment": "ablations", "table": "allocation", **parameters}
+            {"experiment": "ablations", "table": "allocation", **previous_engine, **parameters}
         )
         store.put_artifact(previous_key, self._stale_table("allocation_strategy_ablation"))
         command = ["ablations", "--states", "2", "--shots", "100", "--store", str(tmp_path / "s")]

@@ -15,9 +15,11 @@ model as their first argument (``self`` renamed ``sampling_model``, and
 the one-line ``_backend_round_executor`` wrapper is replaced by the
 :class:`BackendRoundExecutor` constructor it returned;
 ``CutExpectationResult.from_adaptive`` is kept as
-:func:`_reference_from_adaptive`; and the single-cut
+:func:`_reference_from_adaptive`; the single-cut
 loop measures its term circuits with
-:func:`utils.reference_cut_builder.reference_measured_term_circuit`.
+:func:`utils.reference_cut_builder.reference_measured_term_circuit`; and the
+``method`` parameter is gone, together with the per-shot trajectory sampler
+it selected (now :mod:`utils.trajectory_reference`).
 
 Import it as ``from utils.reference_executor import ...`` inside ``tests/``.
 """
@@ -78,7 +80,6 @@ def reference_estimate_cut_expectation(
     shots: int = 1000,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
     backend: SimulatorBackend | str | None = None,
     mode: str = "static",
@@ -111,8 +112,6 @@ def reference_estimate_cut_expectation(
         Seed or generator for all sampling.  Static mode consumes it
         exactly as before this parameterisation (bitwise-identical
         results); adaptive mode derives one child stream per round.
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend only).
     compute_exact:
         Also compute the exact uncut value for error reporting.
     backend:
@@ -144,7 +143,7 @@ def reference_estimate_cut_expectation(
     pauli = _as_pauli(observable, circuit.num_qubits)
     decomposition = protocol.decomposition()
     term_circuits = build_cut_circuits(circuit, location, protocol)
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:
@@ -253,7 +252,6 @@ def reference_execute_term_circuits(
     allocation: str = "proportional",
     seed: SeedLike = None,
     backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
 ) -> tuple[list[TermEstimate], list[int]]:
     """Allocate, measure, batch-run and summarise a product term set.
 
@@ -278,8 +276,6 @@ def reference_execute_term_circuits(
         Seed or generator for allocation and sampling.
     backend:
         Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
 
     Returns
     -------
@@ -292,7 +288,7 @@ def reference_execute_term_circuits(
     probabilities = magnitudes / magnitudes.sum()
     shots_per_term = allocate_shots(probabilities, shots, strategy=allocation, seed=rng)
 
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:
@@ -336,7 +332,6 @@ def reference_execute_term_circuits_adaptive(
     config: AdaptiveConfig,
     seed: SeedLike = None,
     backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
     completed_rounds: Sequence[RoundRecord] = (),
     on_round=None,
     execution: str = "inprocess",
@@ -367,8 +362,6 @@ def reference_execute_term_circuits_adaptive(
         child sequence.
     backend:
         Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
     completed_rounds:
         Rounds persisted by an interrupted run; replayed into the running
         statistics without re-execution (crash resume is bitwise
@@ -390,7 +383,7 @@ def reference_execute_term_circuits_adaptive(
         Per-term summaries with running statistics, total shots per term,
         and the engine result (round records + convergence).
     """
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:

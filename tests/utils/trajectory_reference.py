@@ -1,22 +1,14 @@
-"""Shot-based circuit sampling — the Qiskit Aer replacement.
+"""Per-shot trajectory sampling: the statistical oracle of exact sampling.
 
-Two execution methods are provided:
+Every backend samples a circuit's shots with one multinomial draw over its
+exact outcome distribution.  This module keeps the independent way of
+getting the same statistics: every shot is simulated as its own statevector
+trajectory with real mid-circuit collapse, classical feed-forward, reset and
+initialize.  It makes no structural assumption about the circuit, so the
+tests of ``tests/circuits/test_shot_sampling.py`` check the backends'
+counts against it within sampling error.
 
-``exact`` (default)
-    The circuit is executed once, exactly, with the branching density-matrix
-    simulator; the exact probability distribution over classical-register
-    values is then sampled with a multinomial draw.  This is statistically
-    identical to running independent shots (each shot is an i.i.d. draw from
-    the same outcome distribution) but costs one exact simulation per
-    circuit instead of one trajectory per shot — the vectorised-over-shots
-    strategy recommended by the HPC guidance.
-
-``trajectory``
-    Every shot is simulated as an independent statevector trajectory with
-    real mid-circuit collapse, classical feed-forward, reset and initialise.
-    Slower, but makes no structural assumptions; used by tests to validate
-    the ``exact`` method and available for workloads where per-shot state
-    evolution matters.
+Import it as ``from utils.trajectory_reference import ...`` inside ``tests/``.
 """
 
 from __future__ import annotations
@@ -26,12 +18,11 @@ import numpy as np
 from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
-from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.instruction import BARRIER, GATE, INITIALIZE, MEASURE, RESET
 from repro.quantum.states import Statevector
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["ShotSimulator", "run_and_sample"]
+__all__ = ["TrajectorySimulator"]
 
 
 def _preparation_unitary(target: np.ndarray) -> np.ndarray:
@@ -50,13 +41,8 @@ def _preparation_unitary(target: np.ndarray) -> np.ndarray:
     return q
 
 
-class ShotSimulator:
-    """Samples measurement outcomes of circuits containing measurements."""
-
-    def __init__(self, method: str = "exact"):
-        if method not in {"exact", "trajectory"}:
-            raise SimulationError(f"unknown method {method!r}; use 'exact' or 'trajectory'")
-        self.method = method
+class TrajectorySimulator:
+    """Samples circuits shot by shot, one statevector trajectory per shot."""
 
     def run(
         self,
@@ -77,34 +63,6 @@ class ShotSimulator:
         if shots == 0:
             return Counts({}, num_clbits=circuit.num_clbits)
         rng = as_generator(seed)
-        if self.method == "exact":
-            return self._run_exact(circuit, shots, rng, initial_state)
-        return self._run_trajectories(circuit, shots, rng, initial_state)
-
-    # -- exact sampling -----------------------------------------------------------
-
-    def _run_exact(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        rng: np.random.Generator,
-        initial_state: Statevector | np.ndarray | None,
-    ) -> Counts:
-        result = DensityMatrixSimulator().run(circuit, initial_state)
-        distribution = result.classical_distribution()
-        return Counts.from_probabilities(
-            distribution, shots=shots, num_clbits=circuit.num_clbits, seed=rng
-        )
-
-    # -- trajectory sampling ---------------------------------------------------------
-
-    def _run_trajectories(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        rng: np.random.Generator,
-        initial_state: Statevector | np.ndarray | None,
-    ) -> Counts:
         counts: dict[str, int] = {}
         for _ in range(shots):
             clbits = self._run_single_trajectory(circuit, rng, initial_state)
@@ -188,16 +146,3 @@ class ShotSimulator:
                 state = state.evolve(x_gate, [qubit])
         preparation = _preparation_unitary(instruction.matrix)
         return state.evolve(preparation, instruction.qubits)
-
-
-def run_and_sample(
-    circuit: QuantumCircuit,
-    shots: int,
-    seed: SeedLike = None,
-    method: str = "exact",
-    initial_state: Statevector | np.ndarray | None = None,
-) -> Counts:
-    """Convenience wrapper: sample ``circuit`` with a fresh :class:`ShotSimulator`."""
-    return ShotSimulator(method=method).run(
-        circuit, shots, seed=seed, initial_state=initial_state
-    )
